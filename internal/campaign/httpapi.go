@@ -23,12 +23,18 @@ import (
 // — they spawn no goroutines — so the server's lifetime owns no
 // hidden work; long-running campaign execution lives on the
 // Manager's own run goroutines.
+//
+// Both POST bodies are capped at maxBodyBytes (413 beyond it), and a
+// Spec naming a field the API does not know is refused with 400, so a
+// typo such as "receptor" cannot silently run the defaults.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeError(w, decodeStatus(err), fmt.Errorf("decoding spec: %w", err))
 			return
 		}
 		id, err := m.Submit(spec)
@@ -74,8 +80,13 @@ func NewHandler(m *Manager) http.Handler {
 			SQL string `json:"sql"`
 		}
 		if r.Body != nil {
-			//lint:ignore discarderr an empty or non-JSON body falls through to ?sql=
-			_ = json.NewDecoder(r.Body).Decode(&req)
+			err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req)
+			if code := decodeStatus(err); code == http.StatusRequestEntityTooLarge {
+				writeError(w, code, err)
+				return
+			}
+			// Any other decode error (an empty or non-JSON body) falls
+			// through to ?sql=.
 		}
 		if req.SQL == "" {
 			req.SQL = r.URL.Query().Get("sql")
@@ -115,6 +126,19 @@ func pathID(w http.ResponseWriter, r *http.Request) (int64, bool) {
 		return 0, false
 	}
 	return id, true
+}
+
+// maxBodyBytes caps every POST body the API reads.
+const maxBodyBytes = 1 << 20
+
+// decodeStatus maps a request-body decode error to its HTTP status:
+// 413 when the body exceeded maxBodyBytes, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func submitStatus(err error) int {

@@ -159,12 +159,34 @@ func TestHTTPErrors(t *testing.T) {
 	var apiErr struct {
 		Error string `json:"error"`
 	}
-	if code := doJSON(t, client, "POST", srv.URL+"/campaigns",
-		Spec{Mode: "quantum"}, &apiErr); code != http.StatusBadRequest {
-		t.Errorf("bad mode status = %d", code)
-	}
-	if !strings.Contains(apiErr.Error, "valid: ad4, vina, adaptive") {
-		t.Errorf("bad-mode error %q does not list valid modes", apiErr.Error)
+	oversize := `{"tenant":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, c := range []struct {
+		name, path, body string
+		code             int
+		want             string // substring of the error message
+	}{
+		{"bad mode", "/campaigns", `{"mode":"quantum"}`, http.StatusBadRequest, "valid: ad4, vina, adaptive"},
+		{"malformed", "/campaigns", "{not json", http.StatusBadRequest, "decoding spec"},
+		{"removed field", "/campaigns", `{"precision":"tolerance"}`, http.StatusBadRequest, `"precision"`},
+		{"typo field", "/campaigns", `{"receptor":5}`, http.StatusBadRequest, `"receptor"`},
+		{"oversize spec", "/campaigns", oversize, http.StatusRequestEntityTooLarge, "too large"},
+		{"oversize query", "/campaigns/99/query", oversize, http.StatusRequestEntityTooLarge, "too large"},
+	} {
+		resp, err := client.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		apiErr.Error = ""
+		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+			t.Errorf("%s: decoding error body: %v", c.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.code {
+			t.Errorf("%s: status = %d, want %d", c.name, resp.StatusCode, c.code)
+		}
+		if !strings.Contains(apiErr.Error, c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, apiErr.Error, c.want)
+		}
 	}
 	if code := doJSON(t, client, "GET", srv.URL+"/campaigns/99", nil, &apiErr); code != http.StatusNotFound {
 		t.Errorf("unknown id status = %d", code)
@@ -178,16 +200,6 @@ func TestHTTPErrors(t *testing.T) {
 	if code := doJSON(t, client, "POST", srv.URL+"/campaigns/99/query",
 		map[string]string{}, &apiErr); code != http.StatusBadRequest && code != http.StatusNotFound {
 		t.Errorf("missing sql status = %d", code)
-	}
-
-	resp, err := client.Post(srv.URL+"/campaigns", "application/json",
-		strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body status = %d", resp.StatusCode)
 	}
 
 	var health struct {

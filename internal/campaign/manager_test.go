@@ -398,7 +398,6 @@ func TestSpecValidation(t *testing.T) {
 	}{
 		{Spec{Mode: "quantum"}, "valid: ad4, vina, adaptive"},
 		{Spec{Effort: "heroic"}, "valid: smoke, campaign, quick"},
-		{Spec{Precision: "fuzzy"}, "valid: exact, tolerance"},
 		{Spec{Cores: -1}, "must be positive"},
 		{Spec{Receptors: 9999}, ""},
 	}

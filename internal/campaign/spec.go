@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dock"
 )
 
 // Spec is the JSON-friendly campaign description accepted by the
@@ -30,9 +29,6 @@ type Spec struct {
 	Effort string `json:"effort,omitempty"`
 	// Seed is the campaign seed; 0 = 2014 (the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// Precision selects candidate scoring: exact (default) or
-	// tolerance.
-	Precision string `json:"precision,omitempty"`
 	// DisableHgGuard turns off the §V.C Hg steering guard (on by
 	// default, as in the CLI).
 	DisableHgGuard bool `json:"disable_hg_guard,omitempty"`
@@ -68,9 +64,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 2014
-	}
-	if s.Precision == "" {
-		s.Precision = "exact"
 	}
 	return s
 }
@@ -115,14 +108,6 @@ func (s Spec) Config() (core.Config, error) {
 		cfg.Effort = core.QuickEffort()
 	default:
 		return cfg, fmt.Errorf("campaign: unknown effort %q (valid: smoke, campaign, quick)", s.Effort)
-	}
-	switch s.Precision {
-	case "exact":
-		cfg.ScorePrecision = dock.PrecisionExact
-	case "tolerance":
-		cfg.ScorePrecision = dock.PrecisionTolerance
-	default:
-		return cfg, fmt.Errorf("campaign: unknown precision %q (valid: exact, tolerance)", s.Precision)
 	}
 	return cfg, nil
 }

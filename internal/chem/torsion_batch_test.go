@@ -196,70 +196,6 @@ func TestApplyTorsionsBatchPanics(t *testing.T) {
 	})
 }
 
-// TestRigidUnitsInvariance pins the property the fast scorers rely on:
-// pairwise distances inside one rigid unit are invariant under any
-// torsion angles, and the partition is maximal enough to separate
-// atoms across a rotatable bond.
-func TestRigidUnitsInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	m := chainLike(11)
-	tree, err := BuildTorsionTree(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.Positions()
-	unit := tree.RigidUnits(len(base))
-	if len(unit) != len(base) {
-		t.Fatalf("unit len %d, want %d", len(unit), len(base))
-	}
-	nUnits := 0
-	for _, u := range unit {
-		if int(u)+1 > nUnits {
-			nUnits = int(u) + 1
-		}
-	}
-	if nUnits < 2 {
-		t.Fatalf("only %d rigid units for %d torsions", nUnits, tree.NumTorsions())
-	}
-	angles := make([]float64, tree.NumTorsions())
-	for trial := 0; trial < 50; trial++ {
-		for i := range angles {
-			angles[i] = (r.Float64()*2 - 1) * math.Pi
-		}
-		rot := tree.ApplyTorsions(base, angles)
-		crossChanged := false
-		for i := 0; i < len(base); i++ {
-			for j := i + 1; j < len(base); j++ {
-				d0 := base[i].Dist(base[j])
-				d1 := rot[i].Dist(rot[j])
-				if unit[i] == unit[j] {
-					if math.Abs(d0-d1) > 1e-9 {
-						t.Fatalf("trial %d: same-unit pair %d-%d distance %v -> %v",
-							trial, i, j, d0, d1)
-					}
-				} else if math.Abs(d0-d1) > 1e-9 {
-					crossChanged = true
-				}
-			}
-		}
-		if !crossChanged {
-			t.Fatalf("trial %d: no cross-unit distance changed; partition too coarse", trial)
-		}
-	}
-	// Axis atoms of a torsion sit on both sides geometrically but must
-	// belong to the non-moved unit (they do not rotate).
-	for k, tor := range tree.Torsions {
-		for _, idx := range tor.Moved {
-			if idx == tor.Axis2 {
-				continue
-			}
-			if unit[idx] == unit[tor.Axis1] {
-				t.Fatalf("torsion %d: moved atom %d shares unit with axis1 %d", k, idx, tor.Axis1)
-			}
-		}
-	}
-}
-
 func BenchmarkApplyTorsionsBatch16(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	m := chainLike(24)

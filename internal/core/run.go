@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/data"
-	"repro/internal/dock"
 	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/prep"
@@ -58,22 +57,6 @@ type Config struct {
 	// system (the bulk of the paper's "600 GB per execution"). Off by
 	// default: campaign-scale sweeps only need the in-memory grids.
 	WriteMaps bool
-	// GridFloat32 stores grid-map lattices single precision, halving
-	// the map memory of a campaign. Docking scores shift by at most
-	// the lattice rounding (≤ |value|·2⁻²⁴ per corner, pinned by the
-	// internal/grid equivalence tests); the analytic reference path is
-	// unaffected and remains the golden oracle.
-	GridFloat32 bool
-	// ScorePrecision selects candidate evaluation in both docking
-	// engines: dock.PrecisionExact (the default) scores every candidate
-	// through the bit-exact kernels; dock.PrecisionTolerance screens
-	// candidates with the tolerance-bounded fast kernels and confirms
-	// every potential improvement exactly. Unlike GridFloat32, the
-	// screen is conservative — every persisted energy is exact — so
-	// campaign output is byte-identical across the two modes (pinned by
-	// TestScorePrecisionCampaign); tolerance mode just spends fewer
-	// cycles per rejected candidate.
-	ScorePrecision dock.Precision
 	// LigandBlacklist marks problematic ligands discovered via
 	// provenance; blacklisted ligands dock normally in this
 	// reproduction (the paper re-ran them after parameter fixes).

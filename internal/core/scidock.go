@@ -292,20 +292,12 @@ func (b *builder) runGPF(in workflow.Tuple) (*workflow.ActivationResult, error) 
 
 func (b *builder) gridMaps(rec string, types []chem.AtomType) (*grid.Maps, error) {
 	key := rec + "|" + typesKey(types)
-	rep := grid.Float64
-	if b.cfg.GridFloat32 {
-		// The representation is part of the identity: a float32
-		// campaign must never be handed a cached float64 map set (or
-		// vice versa) just because the receptor and types match.
-		key += "|f32"
-		rep = grid.Float32
-	}
 	v, err := memo(&b.maps, key, func() (interface{}, error) {
 		prec, err := b.preparedReceptor(rec)
 		if err != nil {
 			return nil, err
 		}
-		return grid.GeneratePrec(prec, b.gridSpec(prec), types, 0, rep)
+		return grid.GenerateWorkers(prec, b.gridSpec(prec), types, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -568,7 +560,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		params.PopSize = b.cfg.Effort.AD4PopSize
 		params.Gens = b.cfg.Effort.AD4Gens
 		params.Evals = b.cfg.Effort.AD4Evals
-		eng := &ad4.Engine{Params: params, Box: box, Precision: b.cfg.ScorePrecision}
+		eng := &ad4.Engine{Params: params, Box: box}
 		res, err := eng.Dock(scorer, dlig)
 		if err != nil {
 			return nil, nil, err
@@ -593,8 +585,7 @@ func (b *builder) dockPair(rec, lig string) (*dock.Result, *dock.Ligand, error) 
 		NumModes:       b.cfg.Effort.VinaModes,
 		Seed:           seed,
 	}
-	eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps,
-		Precision: b.cfg.ScorePrecision}
+	eng := &vina.Engine{Config: cfg, StepsPerRestart: b.cfg.Effort.VinaSteps}
 	res, err := eng.Dock(scorer, dlig)
 	if err != nil {
 		return nil, nil, err

@@ -12,10 +12,10 @@ import (
 // L2-overflow benchmark pair: a production-sized, many-type flexible
 // ligand and a wide-cavity receptor sized to wrap it. The pair is the
 // second workload axis of `dockbench -exp kernels` — the reference
-// pair's exact tables fit L2, so the fast kernels' table-traffic win
-// only shows once the working set overflows; this pair is built to
-// overflow it (≥14 AD4 types drive the Vina exact inter+intra table
-// set into the megabytes).
+// pair's exact tables fit L2, so table-traffic effects only show once
+// the working set overflows; this pair is built to overflow it (≥14
+// AD4 types drive the Vina exact inter+intra table set into the
+// megabytes).
 const (
 	LargeLigandCode   = "XL1"
 	LargeReceptorCode = "9XLR"

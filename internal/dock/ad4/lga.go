@@ -35,16 +35,6 @@ type Engine struct {
 	// byte-identical for every value (pinned by
 	// TestDockMaxBatchDeterministic).
 	MaxBatch int
-	// Precision selects candidate evaluation: dock.PrecisionExact (the
-	// default) scores everything through the bit-exact kernels;
-	// dock.PrecisionTolerance screens Solis-Wets candidates — the bulk
-	// of an LGA run's evaluations — with the fast kernel and confirms
-	// survivors with the exact scorer. Population and offspring scores
-	// stay exact in both modes (they persist into tournaments and
-	// champion updates), so tolerance-mode trajectories — and hence
-	// Dock output — are byte-identical to exact mode for every
-	// MaxBatch value (pinned by TestDockPrecisionTolerance).
-	Precision dock.Precision
 }
 
 // Dock executes Params.Runs independent LGA runs and collects the
@@ -385,20 +375,10 @@ func wrap(a float64) float64 {
 // failures try the opposite direction, then shrink. The pose is
 // refined in place through the workspace — zero allocations per
 // candidate — and the improved energy returned.
-//
-// Under dock.PrecisionTolerance each candidate is screened with the
-// fast kernel first: beyond curFeb + FastMargin(curFeb) its exact
-// score provably cannot improve, so the reject (and the step-size
-// bookkeeping, which only sees the accept/reject bit) is identical to
-// the exact path's without paying for an exact evaluation; survivors
-// are exact-rescored and judged on the exact value. The eval counter
-// ticks for screened candidates too, keeping generation gating
-// bit-identical across modes.
 func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.Pose, feb float64, evals *int) float64 {
 	rho := 1.0
 	const rhoMin = 0.01
 	succ, fail := 0, 0
-	tol := e.Precision == dock.PrecisionTolerance
 	cur, cand := ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)
@@ -408,10 +388,7 @@ func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.
 		dock.PerturbInto(r, cand, *cur, rho*0.5, rho*0.15)
 		dock.ClampToBox(cand, e.Box)
 		*evals++
-		candFeb := math.Inf(1)
-		if !tol || s.ScoreFast1(ws.Batch(), *cand) <= curFeb+FastMargin(curFeb) {
-			candFeb = s.Score(ws.Coords(*cand))
-		}
+		candFeb := s.Score(ws.Coords(*cand))
 		if candFeb < curFeb {
 			cur, cand = cand, cur
 			curFeb = candFeb
@@ -457,26 +434,24 @@ func (e *Engine) solisWets(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.
 // incumbent with a displacement bound computed from the ACTUAL draws
 // (translation norm, rotation angle, per-torsion arcs — so the bound
 // is tight for this window, not a worst case), and scores all w in
-// one batched call — fast kernel under tolerance mode, exact
-// otherwise — through the shared window gather/live-pair machinery.
-// The results are then replayed in iteration order with the exact
-// sequential bookkeeping. Until the first accept the speculation is
-// valid: the batched score of candidate j is bit-identical to what
-// the sequential loop would have computed (kernel pose-purity), so
-// screens, accepts and evals tick identically. At the first accept
-// the remaining candidates are stale — built from the wrong
-// incumbent — so the replay falls back to rebuilding each remaining
-// candidate from its pre-drawn raws against the CURRENT incumbent
-// and rho, which is exactly the sequential iteration with its draws
-// taken earlier. Within a window the loop guard cannot exit early
-// (rho halves only at the window's last element and only doubles
-// after accepts), so the draw count per window matches the
+// one batched call through the shared window gather/live-pair
+// machinery. The results are then replayed in iteration order with
+// the exact sequential bookkeeping. Until the first accept the
+// speculation is valid: the batched score of candidate j is
+// bit-identical to what the sequential loop would have computed
+// (kernel pose-purity), so accepts and evals tick identically. At the
+// first accept the remaining candidates are stale — built from the
+// wrong incumbent — so the replay falls back to rebuilding each
+// remaining candidate from its pre-drawn raws against the CURRENT
+// incumbent and rho, which is exactly the sequential iteration with
+// its draws taken earlier. Within a window the loop guard cannot exit
+// early (rho halves only at the window's last element and only
+// doubles after accepts), so the draw count per window matches the
 // sequential path exactly.
 func (e *Engine) solisWetsWindowed(r *rand.Rand, s *Scorer, ws *dock.Workspace, p *dock.Pose, feb float64, evals *int) float64 {
 	rho := 1.0
 	const rhoMin = 0.01
 	succ, fail := 0, 0
-	tol := e.Precision == dock.PrecisionTolerance
 	cur, cand := ws.Get(), ws.Get()
 	defer ws.Put(cur)
 	defer ws.Put(cand)
@@ -520,34 +495,22 @@ func (e *Engine) solisWetsWindowed(r *rand.Rand, s *Scorer, ws *dock.Workspace, 
 			dock.ClampToBox(cand, e.Box)
 			b.Append(*cand)
 		}
-		if tol {
-			s.ScoreBatchFast(b, febs[:w])
-		} else {
-			s.ScoreBatch(b, febs[:w])
-		}
+		s.ScoreBatch(b, febs[:w])
 		b.Reset()
 		stale := false
 		for j := 0; j < w; j++ {
 			raw := raws[j*nd : (j+1)*nd]
-			candFeb := math.Inf(1)
+			var candFeb float64
 			if !stale {
-				if !tol {
-					candFeb = febs[j]
-					if candFeb < curFeb {
-						dock.PerturbApplyRaw(raw, cand, *cur, dt, da)
-						dock.ClampToBox(cand, e.Box)
-					}
-				} else if febs[j] <= curFeb+FastMargin(curFeb) {
+				candFeb = febs[j]
+				if candFeb < curFeb {
 					dock.PerturbApplyRaw(raw, cand, *cur, dt, da)
 					dock.ClampToBox(cand, e.Box)
-					candFeb = s.Score(ws.Coords(*cand))
 				}
 			} else {
 				dock.PerturbApplyRaw(raw, cand, *cur, rho*0.5, rho*0.15)
 				dock.ClampToBox(cand, e.Box)
-				if !tol || s.ScoreFast1(b, *cand) <= curFeb+FastMargin(curFeb) {
-					candFeb = s.Score(ws.Coords(*cand))
-				}
+				candFeb = s.Score(ws.Coords(*cand))
 			}
 			*evals++
 			if candFeb < curFeb {

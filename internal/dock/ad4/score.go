@@ -6,7 +6,6 @@ package ad4
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -52,11 +51,6 @@ type Scorer struct {
 	desolvFld grid.Field
 	wq        []float64 // per atom: weightElec · charge
 	wdq       []float64 // per atom: weightDesolv · |charge|
-
-	// Tolerance-bounded fast path (score_fast.go), built lazily on the
-	// first ScoreBatchFast call so exact-only campaigns pay nothing.
-	fastOnce sync.Once
-	fast     *fastState
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
@@ -231,12 +225,4 @@ func (s *Scorer) ExactWorkingSetBytes() int {
 		seen[pr.tbl] = true
 	}
 	return len(seen) * tables.NNodes * 8
-}
-
-// FastWorkingSetBytes returns the byte size of the fast path's float32
-// intra bank (building it on first call): combined per-(pair,charge)
-// tables on small ligands, deduplicated radial-only tables in split
-// mode on production-sized ones.
-func (s *Scorer) FastWorkingSetBytes() int {
-	return len(s.ensureFast().bank) * 4
 }

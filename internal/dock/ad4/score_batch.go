@@ -27,7 +27,7 @@ import (
 // state lives in the caller-owned batch and out.
 //
 //unit: out=kcal/mol
-//exact: bit-identical to per-pose Score; float32 belongs in ScoreBatchFast
+//exact: bit-identical to per-pose Score
 func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	n := b.Len()
 	if n == 0 {

@@ -36,22 +36,3 @@ func (s *Scorer) windowIntraLive(b *dock.Batch, anchor []chem.Vec3, bound float6
 	}
 	return *lp
 }
-
-// windowIntraLiveFast is windowIntraLive over the fast path's
-// cross-unit pair list (indices into f.intraVar). Distinct cache
-// owner: the exact and fast pair lists index different tables.
-func (s *Scorer) windowIntraLiveFast(b *dock.Batch, f *fastState, anchor []chem.Vec3, bound float64) []int32 {
-	if live, ok := b.WindowPairs(f); ok {
-		return live
-	}
-	lp := b.WindowPairScratch(f)
-	thr := intraCutoff + 2*bound + winSlack
-	thr2 := thr * thr
-	for k := range f.intraVar {
-		pr := &f.intraVar[k]
-		if anchor[pr.i].Dist2(anchor[pr.j]) <= thr2 {
-			*lp = append(*lp, int32(k))
-		}
-	}
-	return *lp
-}

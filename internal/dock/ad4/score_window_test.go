@@ -87,79 +87,10 @@ func TestWindowScoreBatchMatchesPerPose(t *testing.T) {
 	}
 }
 
-// TestWindowScoreBatchFastInvariant pins that the windowed fast values
-// are bit-identical to the windowless fast values across batch sizes
-// and both workloads, and stay inside the screening envelope. On the
-// large pair this exercises split fast mode under a window.
-func TestWindowScoreBatchFastInvariant(t *testing.T) {
-	for _, pair := range windowPairs {
-		maps, lig, _ := setupPair(t, pair[0], pair[1])
-		s, err := NewScorer(maps, lig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := dock.NewWorkspace(lig)
-		for _, bs := range []int{1, 7, 64} {
-			poses, bound := windowPoses(lig, bs, int64(400+bs))
-			b := ws.Batch()
-			b.Reset()
-			for _, p := range poses {
-				b.Append(p)
-			}
-			plain := make([]float64, bs)
-			s.ScoreBatchFast(b, plain)
-			b.SetWindow(poses[0])
-			b.SetWindowBound(bound)
-			b.Reset()
-			for _, p := range poses {
-				b.Append(p)
-			}
-			win := ws.Floats(bs)
-			s.ScoreBatchFast(b, win)
-			for k, p := range poses {
-				if win[k] != plain[k] {
-					t.Fatalf("%s batch %d slot %d: windowed fast %.17g != windowless fast %.17g",
-						pair[1], bs, k, win[k], plain[k])
-				}
-				exact := s.Score(ws.Coords(p))
-				if err := math.Abs(win[k] - exact); err > 0.5*FastMargin(exact) {
-					t.Fatalf("%s batch %d slot %d: |fast-exact| = %.3g beyond half-envelope %.3g",
-						pair[1], bs, k, err, 0.5*FastMargin(exact))
-				}
-			}
-			b.ClearWindow()
-		}
-	}
-}
-
-// TestSplitFastModeOnLargePair pins the memory-pressure gate: the
-// many-type large ligand must push the fast intra bank past the
-// full-matrix budget and trip split mode (radial-only deduped banks +
-// per-pair Coulomb), while the reference pair stays on the dense path.
-func TestSplitFastModeOnLargePair(t *testing.T) {
-	maps, lig, _ := setupPair(t, data.LargeReceptorCode, data.LargeLigandCode)
-	s, err := NewScorer(maps, lig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := s.ensureFast(); !f.split {
-		t.Error("large pair did not trip split fast mode")
-	}
-	maps2, lig2, _ := setupPair(t, "2HHN", "0E6")
-	s2, err := NewScorer(maps2, lig2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := s2.ensureFast(); f.split {
-		t.Error("reference pair unexpectedly on split fast mode")
-	}
-}
-
 // TestWindowBoundViolationFallsBack plants poses that escape a
 // deliberately understated bound and pins the fallback contract: the
 // escapes are flagged invalid, routed through the per-pose exact
-// path, and the whole batch stays byte-identical to per-pose Score in
-// both precision modes.
+// path, and the whole batch stays byte-identical to per-pose Score.
 func TestWindowBoundViolationFallsBack(t *testing.T) {
 	maps, lig, _ := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(maps, lig)
@@ -199,27 +130,12 @@ func TestWindowBoundViolationFallsBack(t *testing.T) {
 				k, valid[k], out[k], want)
 		}
 	}
-	fastWin := make([]float64, len(poses))
-	s.ScoreBatchFast(b, fastWin)
-	b.ClearWindow()
-	b.Reset()
-	for _, p := range poses {
-		b.Append(p)
-	}
-	fastPlain := make([]float64, len(poses))
-	s.ScoreBatchFast(b, fastPlain)
-	for k := range poses {
-		if fastWin[k] != fastPlain[k] {
-			t.Fatalf("slot %d: fast under violated window %.17g != windowless fast %.17g",
-				k, fastWin[k], fastPlain[k])
-		}
-	}
 }
 
 // benchWindowBatch measures the full windowed loop (window setup,
 // refill, kernel) on the named pair — the shape the Solis-Wets window
 // screens run in steady state.
-func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
+func benchWindowBatch(b *testing.B, recCode, ligCode string) {
 	maps, lig, _ := setupPair(b, recCode, ligCode)
 	s, err := NewScorer(maps, lig)
 	if err != nil {
@@ -230,10 +146,6 @@ func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
 	poses, bound := windowPoses(lig, batch, 7)
 	bt := ws.Batch()
 	out := ws.Floats(batch)
-	kernel := s.ScoreBatch
-	if fast {
-		kernel = s.ScoreBatchFast
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,18 +155,14 @@ func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
 		for _, p := range poses {
 			bt.Append(p)
 		}
-		kernel(bt, out)
+		s.ScoreBatch(bt, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pose")
 	bt.ClearWindow()
 }
 
 func BenchmarkWindowScoreBatchLarge50(b *testing.B) {
-	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode, false)
-}
-
-func BenchmarkWindowScoreBatchFastLarge50(b *testing.B) {
-	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode, true)
+	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode)
 }
 
 // TestWindowScoreBatchZeroAllocs pins the steady-state allocation
@@ -277,7 +185,6 @@ func TestWindowScoreBatchZeroAllocs(t *testing.T) {
 			b.Append(p)
 		}
 		s.ScoreBatch(b, out)
-		s.ScoreBatchFast(b, out)
 	}
 	run() // warm caches to the high-water mark
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {

@@ -18,9 +18,8 @@ import (
 // Append only stages the pose parameters; materialization into the
 // component lanes is deferred to the first SoA/At call and runs as one
 // chem.TorsionTree.ApplyTorsionsBatch kernel over the whole appended
-// window, so rigid fragments are reset once per pose instead of the
-// old per-pose AoS staging copy (DESIGN.md "Tolerance-bounded scoring
-// and batched kinematics").
+// window, so rigid fragments are reset once per pose instead of a
+// per-pose AoS staging copy.
 //
 // A Batch is NOT safe for concurrent use; like Workspace, each search
 // worker owns its own. Appending beyond the high-water mark grows the
@@ -34,7 +33,6 @@ type Batch struct {
 	kin        chem.KinScratch
 	xs, ys, zs []float64
 	acc        []float64 // scorer per-pose accumulator scratch
-	acc32      []float32 // fast-path float32 accumulator scratch
 	hits       []Hit     // scorer hit gather scratch
 
 	// Incumbent-anchored window state (window.go). Deliberately NOT
@@ -182,20 +180,6 @@ func (b *Batch) Scratch(n int) []float64 {
 		b.acc[i] = 0
 	}
 	return b.acc
-}
-
-// Scratch32 returns a zeroed float32 accumulator of length n, reused
-// across calls — the tolerance-bounded fast scorers' counterpart of
-// Scratch. Distinct storage from Scratch, so a kernel may use both.
-func (b *Batch) Scratch32(n int) []float32 {
-	if cap(b.acc32) < n {
-		b.acc32 = make([]float32, n)
-	}
-	b.acc32 = b.acc32[:n]
-	for i := range b.acc32 {
-		b.acc32[i] = 0
-	}
-	return b.acc32
 }
 
 // Hits returns a gather buffer of power-of-two length ≥ n, reused

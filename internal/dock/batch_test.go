@@ -213,7 +213,6 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	}
 	_, _, _ = b.SoA()
 	_ = b.Scratch(len(poses))
-	_ = b.Scratch32(2 * len(poses))
 	_ = b.Hits(256)
 	_ = ws.Floats(len(poses))
 	allocs := testing.AllocsPerRun(100, func() {
@@ -223,7 +222,6 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		}
 		_, _, _ = b.SoA()
 		_ = b.Scratch(len(poses))
-		_ = b.Scratch32(2 * len(poses))
 		_ = b.Hits(256)
 		_ = ws.Floats(len(poses))
 	})

@@ -140,43 +140,3 @@ func (t *Radial) AtCoord(x float64) float64 {
 	v := t.vals[i]
 	return v + (x-float64(i))*(t.vals[i+1]-v)
 }
-
-// Radial32 is Radial with float32 node storage: the same two-segment
-// r²-indexed geometry at half the memory footprint, for the float32
-// grid-map representation where lattice values are stored single
-// precision anyway. Nodes are quantized once at build time; At2 still
-// interpolates in float64, so the only extra error versus Radial is
-// the one-time node rounding (≤ |f|·2⁻²⁴ per node, pinned by the
-// equivalence tests alongside the float64 bound).
-type Radial32 struct {
-	vals []float32
-}
-
-// NewRadial32 tabulates f — a function of the distance r in Å — on the
-// package's two-segment r² grid with float32 nodes.
-func NewRadial32(f func(r float64) float64) *Radial32 {
-	t := &Radial32{vals: make([]float32, BinsCore+BinsTail+1)}
-	for i := 0; i < BinsCore; i++ {
-		t.vals[i] = float32(f(math.Sqrt(float64(i) / invCore)))
-	}
-	for j := 0; j <= BinsTail; j++ {
-		t.vals[BinsCore+j] = float32(f(math.Sqrt(SplitR2 + float64(j)/invTail)))
-	}
-	return t
-}
-
-// At2 returns the interpolated value at squared distance r2 ≥ 0.
-//
-//unit: r2=Å2
-func (t *Radial32) At2(r2 float64) float64 {
-	x := r2 * invCore
-	if r2 >= SplitR2 {
-		x = BinsCore + (r2-SplitR2)*invTail
-	}
-	i := int(x)
-	if i >= len(t.vals)-1 {
-		return float64(t.vals[len(t.vals)-1])
-	}
-	v := float64(t.vals[i])
-	return v + (x-float64(i))*(float64(t.vals[i+1])-v)
-}

@@ -5,7 +5,6 @@ package vina
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/chem"
 	"repro/internal/dock"
@@ -47,11 +46,6 @@ type Scorer struct {
 	intraTbl   []intraPair        // heavy-atom 1-4+ pairs with their tables
 	rotFactor float64
 	intraRef  float64 // internal energy of the input conformation
-
-	// Tolerance-bounded fast path (score_fast.go), built lazily on the
-	// first ScoreBatchFast call so exact-only campaigns pay nothing.
-	fastOnce sync.Once
-	fast     *fastState
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
@@ -291,8 +285,7 @@ func pairTerm(a, b chem.TypeParams, r float64) float64 {
 // intramolecular pair tables, deduplicated exactly as the global table
 // cache shares them. This is the number behind the L2-overflow
 // workload axis in BENCH_kernels.json: on the reference pair it sits
-// comfortably inside L2, on the large many-type pair it overflows it,
-// which is where the compact fast bank's separation appears.
+// comfortably inside L2, on the large many-type pair it overflows it.
 func (s *Scorer) ExactWorkingSetBytes() int {
 	seen := make(map[*tables.Radial]bool)
 	for _, row := range s.interTbl {
@@ -304,11 +297,4 @@ func (s *Scorer) ExactWorkingSetBytes() int {
 		seen[pr.tbl] = true
 	}
 	return len(seen) * tables.NNodes * 8
-}
-
-// FastWorkingSetBytes returns the byte size of the fast path's merged
-// float32 bank (building it on first call), the compact working set
-// ScoreBatchFast streams instead of the exact tables.
-func (s *Scorer) FastWorkingSetBytes() int {
-	return len(s.ensureFast().bank) * 4
 }

@@ -15,9 +15,8 @@ const winSlack = 1e-2
 // windowGather returns the window's shared candidate CSR — for each
 // ligand atom, every packed receptor atom within cutoff+bound of the
 // atom's anchor position — building and caching it on the batch on
-// first use. Both the exact and the fast kernel read the same CSR (it
-// depends only on the anchor and the bound), so one build serves a
-// whole window regardless of precision mode.
+// first use. The CSR depends only on the anchor and the bound, so one
+// build serves a whole window.
 func (s *Scorer) windowGather(b *dock.Batch, anchor []chem.Vec3, bound float64) (cands []dock.PackedAtom, offs []int32) {
 	if cands, offs, ok := b.WindowGather(s); ok {
 		return cands, offs
@@ -51,26 +50,6 @@ func (s *Scorer) windowIntraLive(b *dock.Batch, anchor []chem.Vec3, bound float6
 	thr2 := thr * thr
 	for k := range s.intraTbl {
 		pr := &s.intraTbl[k]
-		if anchor[pr.i].Dist2(anchor[pr.j]) <= thr2 {
-			*lp = append(*lp, int32(k))
-		}
-	}
-	return *lp
-}
-
-// windowIntraLiveFast is windowIntraLive over the fast path's
-// cross-unit pair list (indices into f.intraVar, which is its own
-// ordering). Distinct cache owner: the exact and fast pair lists index
-// different tables.
-func (s *Scorer) windowIntraLiveFast(b *dock.Batch, f *fastState, anchor []chem.Vec3, bound float64) []int32 {
-	if live, ok := b.WindowPairs(f); ok {
-		return live
-	}
-	lp := b.WindowPairScratch(f)
-	thr := cutoff + 2*bound + winSlack
-	thr2 := thr * thr
-	for k := range f.intraVar {
-		pr := &f.intraVar[k]
 		if anchor[pr.i].Dist2(anchor[pr.j]) <= thr2 {
 			*lp = append(*lp, int32(k))
 		}

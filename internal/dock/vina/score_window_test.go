@@ -84,57 +84,11 @@ func TestWindowScoreBatchMatchesPerPose(t *testing.T) {
 	}
 }
 
-// TestWindowScoreBatchFastInvariant pins the fast path's two window
-// contracts: the windowed fast values are bit-identical to the
-// windowless fast values (the shared gather and the live-pair pruning
-// are invisible at the bit level), and both stay inside the screening
-// envelope around the exact energy.
-func TestWindowScoreBatchFastInvariant(t *testing.T) {
-	for _, pair := range windowPairs {
-		rec, lig := setupPair(t, pair[0], pair[1])
-		s, err := NewScorer(rec, lig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := dock.NewWorkspace(lig)
-		for _, bs := range []int{1, 7, 64} {
-			poses, bound := windowPoses(lig, bs, int64(400+bs))
-			b := ws.Batch()
-			b.Reset()
-			for _, p := range poses {
-				b.Append(p)
-			}
-			plain := make([]float64, bs)
-			s.ScoreBatchFast(b, plain)
-			b.SetWindow(poses[0])
-			b.SetWindowBound(bound)
-			b.Reset()
-			for _, p := range poses {
-				b.Append(p)
-			}
-			win := ws.Floats(bs)
-			s.ScoreBatchFast(b, win)
-			for k, p := range poses {
-				if win[k] != plain[k] {
-					t.Fatalf("%s batch %d slot %d: windowed fast %.17g != windowless fast %.17g",
-						pair[1], bs, k, win[k], plain[k])
-				}
-				exact := s.Score(ws.Coords(p))
-				if err := math.Abs(win[k] - exact); err > 0.5*FastMargin(exact) {
-					t.Fatalf("%s batch %d slot %d: |fast-exact| = %.3g beyond half-envelope %.3g",
-						pair[1], bs, k, err, 0.5*FastMargin(exact))
-				}
-			}
-			b.ClearWindow()
-		}
-	}
-}
-
 // TestWindowBoundViolationFallsBack plants poses that escape a
 // deliberately understated bound and pins the fallback contract: the
 // escapes are flagged invalid, routed through the per-pose exact
 // gather, and the whole batch — valid and invalid slots alike — stays
-// byte-identical to the per-pose path in both precision modes.
+// byte-identical to the per-pose path.
 func TestWindowBoundViolationFallsBack(t *testing.T) {
 	rec, lig := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(rec, lig)
@@ -179,28 +133,12 @@ func TestWindowBoundViolationFallsBack(t *testing.T) {
 				k, valid[k], out[k], want)
 		}
 	}
-	// Fast path under the same violated window must equal windowless fast.
-	fastWin := make([]float64, len(poses))
-	s.ScoreBatchFast(b, fastWin)
-	b.ClearWindow()
-	b.Reset()
-	for _, p := range poses {
-		b.Append(p)
-	}
-	fastPlain := make([]float64, len(poses))
-	s.ScoreBatchFast(b, fastPlain)
-	for k := range poses {
-		if fastWin[k] != fastPlain[k] {
-			t.Fatalf("slot %d: fast under violated window %.17g != windowless fast %.17g",
-				k, fastWin[k], fastPlain[k])
-		}
-	}
 }
 
 // benchWindowBatch measures the full windowed loop (window setup,
 // refill, kernel) on the named pair — the shape the MaxBatch screens
 // run in steady state.
-func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
+func benchWindowBatch(b *testing.B, recCode, ligCode string) {
 	rec, lig := setupPair(b, recCode, ligCode)
 	s, err := NewScorer(rec, lig)
 	if err != nil {
@@ -211,10 +149,6 @@ func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
 	poses, bound := windowPoses(lig, batch, 7)
 	bt := ws.Batch()
 	out := ws.Floats(batch)
-	kernel := s.ScoreBatch
-	if fast {
-		kernel = s.ScoreBatchFast
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,24 +158,19 @@ func benchWindowBatch(b *testing.B, recCode, ligCode string, fast bool) {
 		for _, p := range poses {
 			bt.Append(p)
 		}
-		kernel(bt, out)
+		s.ScoreBatch(bt, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pose")
 	bt.ClearWindow()
 }
 
 func BenchmarkWindowScoreBatchLarge50(b *testing.B) {
-	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode, false)
-}
-
-func BenchmarkWindowScoreBatchFastLarge50(b *testing.B) {
-	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode, true)
+	benchWindowBatch(b, data.LargeReceptorCode, data.LargeLigandCode)
 }
 
 // TestWindowScoreBatchZeroAllocs pins the steady-state allocation
-// contract of the full windowed loop: set the window, refill, score
-// exact and fast — zero heap allocations once the caches hit their
-// high-water mark.
+// contract of the full windowed loop: set the window, refill, score —
+// zero heap allocations once the caches hit their high-water mark.
 func TestWindowScoreBatchZeroAllocs(t *testing.T) {
 	rec, lig := setupPair(t, "2HHN", "0E6")
 	s, err := NewScorer(rec, lig)
@@ -260,7 +189,6 @@ func TestWindowScoreBatchZeroAllocs(t *testing.T) {
 			b.Append(p)
 		}
 		s.ScoreBatch(b, out)
-		s.ScoreBatchFast(b, out)
 	}
 	run() // warm caches to the high-water mark
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {

@@ -40,19 +40,6 @@ type Engine struct {
 	// the bit, and the speculative window is replayed in probe order
 	// with a per-pose fallback from the first accepted improvement on.
 	MaxBatch int
-	// Precision selects candidate evaluation: dock.PrecisionExact (the
-	// default) scores every probe through the bit-exact kernels;
-	// dock.PrecisionTolerance screens the batched probe windows with
-	// ScoreBatchFast and confirms every potential improvement with the
-	// exact scorer before accepting it. Because the fast bound makes
-	// the screen conservative and every persistent energy is exact,
-	// tolerance-mode trajectories — and hence Dock output — are
-	// byte-identical to exact mode for every MaxBatch value (pinned by
-	// TestDockPrecisionTolerance); the fast path only spares exact
-	// evaluations on probes that provably cannot improve. The MaxBatch
-	// < 0 reference path stays exact regardless, as the golden
-	// baseline.
-	Precision dock.Precision
 }
 
 // mode is one distinct binding mode found during search.
@@ -247,14 +234,6 @@ func probeInto(probe *dock.Pose, from dock.Pose, k int, step float64, axis chem.
 // and the batch pays off where the optimizer spends its time: in
 // converged passes where nothing improves and the full window's
 // cached scores are all consumed.
-//
-// Under dock.PrecisionTolerance the windows are scored with
-// ScoreBatchFast instead and the replay screens each probe against
-// curFeb + FastMargin(curFeb): probes beyond the margin are rejected
-// outright (their exact score provably cannot improve), survivors are
-// exact-rescored and judged on the exact value. Converged passes —
-// where the optimizer spends its time — then cost one fast window and
-// no exact evaluations at all.
 func (e *Engine) localOptimizeBatch(s *Scorer, ws *dock.Workspace, box dock.Box, cur *dock.Pose, r *rand.Rand) float64 {
 	lig := ws.Ligand()
 	nProbes := 8 + 2*lig.NumTorsions()
@@ -269,7 +248,6 @@ func (e *Engine) localOptimizeBatch(s *Scorer, ws *dock.Workspace, box dock.Box,
 	defer b.ClearWindow()
 	febs := ws.Floats(nProbes)
 	arcMax, arcMean := lig.ArcRadii()
-	tol := e.Precision == dock.PrecisionTolerance
 	curFeb := s.Score(ws.Coords(*cur))
 	step := 1.0
 	for step > 0.12 {
@@ -308,46 +286,20 @@ func (e *Engine) localOptimizeBatch(s *Scorer, ws *dock.Workspace, box dock.Box,
 				probeInto(probe, *entry, k, step, axis, box)
 				b.Append(*probe)
 			}
-			if tol {
-				s.ScoreBatchFast(b, febs[base:end])
-			} else {
-				s.ScoreBatch(b, febs[base:end])
-			}
+			s.ScoreBatch(b, febs[base:end])
 			for k := base; k < end; k++ {
-				if tol {
-					// Screen: a fast score beyond the margin proves the
-					// exact score cannot beat curFeb. Survivors are
-					// confirmed exactly, so curFeb stays an exact energy
-					// and the accept/reject pattern — hence the whole
-					// trajectory — matches the exact path bit for bit.
-					if febs[k] > curFeb+FastMargin(curFeb) {
-						continue
-					}
-					probeInto(probe, *entry, k, step, axis, box)
-					feb := s.Score(ws.Coords(*probe))
-					if feb >= curFeb {
-						continue
-					}
-					cur.Set(*probe)
-					curFeb = feb
-				} else {
-					if febs[k] >= curFeb {
-						continue
-					}
-					probeInto(probe, *entry, k, step, axis, box)
-					cur.Set(*probe)
-					curFeb = febs[k]
+				if febs[k] >= curFeb {
+					continue
 				}
+				probeInto(probe, *entry, k, step, axis, box)
+				cur.Set(*probe)
+				curFeb = febs[k]
 				improved = true
 				// cur changed: the remaining speculative scores are
 				// stale. Finish the pass per-pose, exactly as the
-				// reference loop would from this point (screening each
-				// probe first in tolerance mode).
+				// reference loop would from this point.
 				for k2 := k + 1; k2 < nProbes; k2++ {
 					probeInto(probe, *cur, k2, step, axis, box)
-					if tol && s.ScoreFast1(b, *probe) > curFeb+FastMargin(curFeb) {
-						continue
-					}
 					if feb := s.Score(ws.Coords(*probe)); feb < curFeb {
 						cur.Set(*probe)
 						curFeb = feb

@@ -120,9 +120,8 @@ func (b *Batch) WindowValid() []bool {
 // WindowGather returns the shared candidate CSR an engine built for the
 // current window — cands split per ligand atom by offs (len Stride()+1)
 // — or ok=false when the cache belongs to another owner or an older
-// window. Owner identity keeps two engines (or the exact and fast
-// variants of one) from silently consuming each other's candidate
-// layout.
+// window. Owner identity keeps two engines from silently consuming
+// each other's candidate layout.
 func (b *Batch) WindowGather(owner any) (cands []PackedAtom, offs []int32, ok bool) {
 	if !b.win.set || b.win.gatherOwner != owner || b.win.gatherStamp != b.win.stamp {
 		return nil, nil, false

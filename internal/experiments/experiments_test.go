@@ -72,11 +72,8 @@ func TestKernelsQuick(t *testing.T) {
 		return []string{
 			prefix + "_score_per_pose", prefix + "_score_batch1", prefix + "_score_batch8",
 			prefix + "_score_batch16", prefix + "_score_batch50", prefix + "_score_batch150",
-			prefix + "_score_fast_batch1", prefix + "_score_fast_batch8",
-			prefix + "_score_fast_batch16", prefix + "_score_fast_batch50", prefix + "_score_fast_batch150",
 			prefix + "_score_per_pose_winpop",
-			prefix + "_score_batch50_winpop", prefix + "_score_fast_batch50_winpop",
-			prefix + "_score_batch50_window", prefix + "_score_fast_batch50_window",
+			prefix + "_score_batch50_winpop", prefix + "_score_batch50_window",
 		}
 	}
 	want := []string{
@@ -120,13 +117,6 @@ func TestKernelsQuick(t *testing.T) {
 				t.Errorf("%s: median ns/pose %v below min-round ns/pose %v",
 					b.Name, b.MedianNsPerPose, b.NsPerPose)
 			}
-			fast := strings.Contains(b.Name, "_fast_")
-			if fast != (b.Precision == "tolerance") {
-				t.Errorf("%s: precision tag %q does not match name", b.Name, b.Precision)
-			}
-			if fast && b.MaxBoundExcess > 0 {
-				t.Errorf("%s: tolerance envelope violated by %g", b.Name, b.MaxBoundExcess)
-			}
 			if strings.HasSuffix(b.Name, "_window") != (b.SpeedupVsBatch > 0) {
 				t.Errorf("%s: speedup_vs_batch %v does not match window naming",
 					b.Name, b.SpeedupVsBatch)
@@ -146,8 +136,7 @@ func TestKernelsQuick(t *testing.T) {
 	}
 	for _, w := range rep.Workloads {
 		if w.ReceptorAtoms <= 0 || w.LigandAtoms <= 0 || w.AD4TypeCount <= 0 || w.Torsions < 0 ||
-			w.VinaExactTableBytes <= 0 || w.VinaFastTableBytes <= 0 ||
-			w.AD4ExactTableBytes <= 0 || w.AD4FastTableBytes <= 0 {
+			w.VinaExactTableBytes <= 0 || w.AD4ExactTableBytes <= 0 {
 			t.Errorf("workload %s: incomplete metadata %+v", w.Name, w)
 		}
 	}
@@ -160,7 +149,7 @@ func TestKernelsQuick(t *testing.T) {
 			lw.VinaExactTableBytes, rep.Workloads[0].VinaExactTableBytes)
 	}
 	if rep.Note == "" {
-		t.Error("report note (1-CPU measurement caveat) missing")
+		t.Error("report note (measurement caveat) missing")
 	}
 	js, err := rep.JSON()
 	if err != nil {

@@ -5,9 +5,9 @@
 // reference pair (2HHN/0E6), whose exact radial tables fit in L2, and
 // the L2-overflow pair (9XLR/XL1) — a 123-atom, 14-type, 35-torsion
 // ligand whose exact working set spills the core-private caches, the
-// regime the fast float32 banks and the incumbent-anchored window
-// gather were built for. cmd/dockbench serializes the report to
-// BENCH_kernels.json so perf regressions are diffable across commits.
+// regime the incumbent-anchored window gather was built for.
+// cmd/dockbench serializes the report to BENCH_kernels.json so perf
+// regressions are diffable across commits.
 package experiments
 
 import (
@@ -52,39 +52,21 @@ type KernelBench struct {
 	MedianNsPerPose  float64 `json:"median_ns_per_pose,omitempty"`
 	SpeedupVsPerPose float64 `json:"speedup_vs_per_pose,omitempty"`
 	// Window cells only (incumbent-anchored shared gather): ns_per_pose
-	// of the matching plain batch cell (same batch size, same
-	// precision, same poses) divided by this cell's — the win from
+	// of the matching plain batch cell (same batch size, same poses)
+	// divided by this cell's — the win from
 	// gathering once per window instead of once per pose.
 	SpeedupVsBatch float64 `json:"speedup_vs_batch,omitempty"`
-	// Precision tags batch-sweep cells with the scoring path they
-	// time: "exact" (ScoreBatch, bit-identical to Score) or
-	// "tolerance" (ScoreBatchFast, bounded error).
-	Precision string `json:"precision,omitempty"`
 	// RelStdDev is the relative standard deviation of the per-round
 	// wall times of a sweep cell — the noise floor against which its
 	// speedup ratios should be read.
 	RelStdDev float64 `json:"rel_stddev,omitempty"`
-	// MaxAbsDeltaE is the largest |fast − exact| energy over the sweep
-	// population, measured outside the timed region; only set on
-	// tolerance cells. The population includes hard clashes whose
-	// exact energy sits on the r⁻¹² wall (~1e8), so this raw delta is
-	// dominated by the relative tolerance term there; read it against
-	// MaxBoundExcess, which is the number the screening algebra
-	// depends on.
-	MaxAbsDeltaE float64 `json:"max_abs_delta_e,omitempty"`
-	// MaxBoundExcess is the worst-case |fast − exact| − (FastAbsTol +
-	// FastRelTol·|exact|) over the population: ≤ 0 means every pose
-	// respected the engine's pinned tolerance envelope, and its
-	// magnitude is the narrowest margin observed.
-	MaxBoundExcess float64 `json:"max_bound_excess,omitempty"`
 }
 
 // WorkloadMeta describes one receptor/ligand workload of the kernel
 // matrix: the shape numbers that set each cell's arithmetic intensity
 // (atom, type and torsion counts) and the estimated resident bytes of
-// the scoring tables each path streams per pose — the axis along which
-// the exact kernels fall off the L2 cliff while the float32 fast banks
-// stay resident.
+// the scoring tables each engine streams per pose — the axis along
+// which the exact kernels fall off the L2 cliff.
 type WorkloadMeta struct {
 	Name          string `json:"name"`
 	Receptor      string `json:"receptor"`
@@ -94,13 +76,11 @@ type WorkloadMeta struct {
 	AD4TypeCount  int    `json:"ad4_type_count"`
 	Torsions      int    `json:"torsions"`
 	GridNPts      int    `json:"grid_npts"`
-	// Estimated exact/fast scoring working sets in bytes (radial table
-	// storage reachable from the scorer's hot loops; see the engines'
-	// {Exact,Fast}WorkingSetBytes).
+	// Estimated scoring working sets in bytes (radial table storage
+	// reachable from the scorer's hot loops; see the engines'
+	// ExactWorkingSetBytes).
 	VinaExactTableBytes int `json:"vina_exact_table_bytes"`
-	VinaFastTableBytes  int `json:"vina_fast_table_bytes"`
 	AD4ExactTableBytes  int `json:"ad4_exact_table_bytes"`
-	AD4FastTableBytes   int `json:"ad4_fast_table_bytes"`
 }
 
 // KernelReport is the full kernel benchmark result set.
@@ -127,13 +107,12 @@ func (r *KernelReport) String() string {
 		fmt.Fprintf(&sb, "note: %s\n", r.Note)
 	}
 	for _, w := range r.Workloads {
-		fmt.Fprintf(&sb, "workload %-10s %s (%d atoms) vs %s (%d atoms, %d AD4 types, %d torsions): exact tables vina %.1f KiB / ad4 %.1f KiB, fast banks vina %.1f KiB / ad4 %.1f KiB\n",
+		fmt.Fprintf(&sb, "workload %-10s %s (%d atoms) vs %s (%d atoms, %d AD4 types, %d torsions): exact tables vina %.1f KiB / ad4 %.1f KiB\n",
 			w.Name+":", w.Receptor, w.ReceptorAtoms, w.Ligand, w.LigandAtoms, w.AD4TypeCount, w.Torsions,
-			float64(w.VinaExactTableBytes)/1024, float64(w.AD4ExactTableBytes)/1024,
-			float64(w.VinaFastTableBytes)/1024, float64(w.AD4FastTableBytes)/1024)
+			float64(w.VinaExactTableBytes)/1024, float64(w.AD4ExactTableBytes)/1024)
 	}
-	fmt.Fprintf(&sb, "%-34s %-9s %14s %10s %8s %12s %12s %9s %8s %8s %10s %12s\n",
-		"kernel", "workload", "ns/op", "allocs/op", "speedup", "ns/pose", "med/pose", "vs 1-pose", "vs batch", "±rsd", "max|ΔE|", "bound slack")
+	fmt.Fprintf(&sb, "%-34s %-9s %14s %10s %8s %12s %12s %9s %8s %8s\n",
+		"kernel", "workload", "ns/op", "allocs/op", "speedup", "ns/pose", "med/pose", "vs 1-pose", "vs batch", "±rsd")
 	for _, b := range r.Benchmarks {
 		sp := ""
 		if b.Speedup > 0 {
@@ -152,17 +131,12 @@ func (r *KernelReport) String() string {
 		if b.SpeedupVsBatch > 0 {
 			vb = fmt.Sprintf("%.2fx", b.SpeedupVsBatch)
 		}
-		rsd, de := "", ""
+		rsd := ""
 		if b.RelStdDev > 0 {
 			rsd = fmt.Sprintf("%.1f%%", b.RelStdDev*100)
 		}
-		ex := ""
-		if b.Precision == "tolerance" {
-			de = fmt.Sprintf("%.2g", b.MaxAbsDeltaE)
-			ex = fmt.Sprintf("%.2g", -b.MaxBoundExcess)
-		}
-		fmt.Fprintf(&sb, "%-34s %-9s %14.0f %10.1f %8s %12s %12s %9s %8s %8s %10s %12s\n",
-			b.Name, b.Workload, b.NsPerOp, b.AllocsPerOp, sp, np, md, vp, vb, rsd, de, ex)
+		fmt.Fprintf(&sb, "%-34s %-9s %14.0f %10.1f %8s %12s %12s %9s %8s %8s\n",
+			b.Name, b.Workload, b.NsPerOp, b.AllocsPerOp, sp, np, md, vp, vb, rsd)
 	}
 	return sb.String()
 }
@@ -374,9 +348,7 @@ func newKernelWorkload(name string, rec, rawLig *chem.Molecule, recCode, ligCode
 			Torsions:            pl.Tree.NumTorsions(),
 			GridNPts:            npts,
 			VinaExactTableBytes: vs.ExactWorkingSetBytes(),
-			VinaFastTableBytes:  vs.FastWorkingSetBytes(),
 			AD4ExactTableBytes:  as.ExactWorkingSetBytes(),
-			AD4FastTableBytes:   as.FastWorkingSetBytes(),
 		},
 	}, nil
 }
@@ -502,18 +474,15 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 	// Batched-scoring sweep: one fixed production-shaped population per
 	// engine per workload — Solis-Wets screen windows, see
 	// kernelScreenWindows — scored per pose (Workspace materialization
-	// included, as a search loop pays it), in exact ScoreBatch chunks,
-	// in tolerance ScoreBatchFast chunks, and (at the window-aligned
-	// batch size) through the incumbent-anchored shared gather. The
-	// cells are interleaved round-robin so frequency drift hits every
-	// cell alike; ns_per_pose and the batch-vs-per-pose ratio are the
-	// signal. The exact cells produce bit-identical energies (pinned by
-	// the engines' 0-ULP batch tests, which also cover the window
-	// cells); the tolerance cells report the max |fast − exact| over
-	// the population (measured outside the timed region) next to their
-	// timing, so the speed/accuracy trade is in one row. Each cell also
-	// carries the relative stddev and median of its per-round wall
-	// times — the noise floor for reading the ratios.
+	// included, as a search loop pays it), in ScoreBatch chunks, and
+	// (at the window-aligned batch size) through the incumbent-anchored
+	// shared gather. The cells are interleaved round-robin so frequency
+	// drift hits every cell alike; ns_per_pose and the batch-vs-per-pose
+	// ratio are the signal. Every cell produces bit-identical energies
+	// (pinned by the engines' 0-ULP batch tests, which also cover the
+	// window cells). Each cell also carries the relative stddev and
+	// median of its per-round wall times — the noise floor for reading
+	// the ratios.
 	const windowSize = 50
 	// steadyRho is the fixed perturbation scale of the window-cell
 	// population: deep enough into the Solis-Wets anneal that cluster
@@ -521,7 +490,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 	// regime the shared gather's inflated cutoff stays profitable in.
 	const steadyRho = 0.15
 	sweep := func(wl *kernelWorkload, prefix string, score func([]chem.Vec3) float64,
-		scoreBatch, scoreBatchFast func(*dock.Batch, []float64), margin func(float64) float64) {
+		scoreBatch func(*dock.Batch, []float64)) {
 		lig := wl.lig
 		batchPoses := kernelScreenWindows(lig, wl.nPop, windowSize, 7)
 		winPoses := kernelSteadyWindows(lig, wl.nPop, windowSize, steadyRho, 13)
@@ -529,27 +498,24 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		batchSizes := []int{1, 8, 16, windowSize, 150}
 		ws := dock.NewWorkspace(lig)
 		type cell struct {
-			name      string
-			bs        int
-			precision string
-			window    bool
-			baseline  int // index of this cell's per-pose baseline cell
-			vsBatch   int // window cells: index of the matching plain cell; else -1
-			run       func()
+			name     string
+			bs       int
+			baseline int // index of this cell's per-pose baseline cell
+			vsBatch  int // window cells: index of the matching plain cell; else -1
+			run      func()
 		}
 		sink := 0.0
 		perPoseCell := func(name string, poses []dock.Pose) cell {
-			return cell{name, 0, "exact", false, 0, -1, func() {
+			return cell{name, 0, 0, -1, func() {
 				for _, p := range poses {
 					sink += score(ws.Coords(p))
 				}
 			}}
 		}
-		batchCell := func(name string, poses []dock.Pose, bs int, precision string,
-			kernel func(*dock.Batch, []float64)) cell {
+		batchCell := func(name string, poses []dock.Pose, bs int) cell {
 			b := dock.NewBatch(lig, bs)
 			out := make([]float64, bs)
-			return cell{name, bs, precision, false, 0, -1, func() {
+			return cell{name, bs, 0, -1, func() {
 				for base := 0; base < len(poses); base += bs {
 					end := base + bs
 					if end > len(poses) {
@@ -559,7 +525,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 					for i := base; i < end; i++ {
 						b.Append(poses[i])
 					}
-					kernel(b, out[:end-base])
+					scoreBatch(b, out[:end-base])
 					for k := 0; k < end-base; k++ {
 						sink += out[k]
 					}
@@ -571,10 +537,10 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		// incumbent-anchored gather (anchor = the cluster's first pose,
 		// bound = the cluster's measured max displacement), the shape
 		// the windowed Solis-Wets and batched-probe search loops feed.
-		windowCell := func(name string, precision string, kernel func(*dock.Batch, []float64)) cell {
+		windowCell := func(name string) cell {
 			b := dock.NewBatch(lig, windowSize)
 			out := make([]float64, windowSize)
-			return cell{name, windowSize, precision, true, 0, -1, func() {
+			return cell{name, windowSize, 0, -1, func() {
 				for base := 0; base < len(winPoses); base += windowSize {
 					end := base + windowSize
 					if end > len(winPoses) {
@@ -586,7 +552,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 					for i := base; i < end; i++ {
 						b.Append(winPoses[i])
 					}
-					kernel(b, out[:end-base])
+					scoreBatch(b, out[:end-base])
 					for k := 0; k < end-base; k++ {
 						sink += out[k]
 					}
@@ -596,30 +562,19 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		}
 		cells := []cell{perPoseCell(prefix+"_score_per_pose", batchPoses)}
 		for _, bs := range batchSizes {
-			cells = append(cells, batchCell(fmt.Sprintf("%s_score_batch%d", prefix, bs),
-				batchPoses, bs, "exact", scoreBatch))
-		}
-		for _, bs := range batchSizes {
-			cells = append(cells, batchCell(fmt.Sprintf("%s_score_fast_batch%d", prefix, bs),
-				batchPoses, bs, "tolerance", scoreBatchFast))
+			cells = append(cells, batchCell(fmt.Sprintf("%s_score_batch%d", prefix, bs), batchPoses, bs))
 		}
 		winBase := len(cells)
-		cells = append(cells, perPoseCell(prefix+"_score_per_pose_winpop", winPoses))
 		cells = append(cells,
-			batchCell(fmt.Sprintf("%s_score_batch%d_winpop", prefix, windowSize),
-				winPoses, windowSize, "exact", scoreBatch),
-			batchCell(fmt.Sprintf("%s_score_fast_batch%d_winpop", prefix, windowSize),
-				winPoses, windowSize, "tolerance", scoreBatchFast))
-		cells = append(cells,
-			windowCell(fmt.Sprintf("%s_score_batch%d_window", prefix, windowSize), "exact", scoreBatch),
-			windowCell(fmt.Sprintf("%s_score_fast_batch%d_window", prefix, windowSize), "tolerance", scoreBatchFast))
+			perPoseCell(prefix+"_score_per_pose_winpop", winPoses),
+			batchCell(fmt.Sprintf("%s_score_batch%d_winpop", prefix, windowSize), winPoses, windowSize),
+			windowCell(fmt.Sprintf("%s_score_batch%d_window", prefix, windowSize)))
 		for ci := winBase; ci < len(cells); ci++ {
 			cells[ci].baseline = winBase
 		}
-		cells[winBase+3].vsBatch = winBase + 1
-		cells[winBase+4].vsBatch = winBase + 2
+		cells[winBase+2].vsBatch = winBase + 1
 		for _, c := range cells {
-			c.run() // warm up: fault in tables, batch buffers, lazy fast state
+			c.run() // warm up: fault in tables and batch buffers
 		}
 		tot := make([]time.Duration, len(cells))
 		sum2 := make([]float64, len(cells)) // Σ(round ns)² for the stddev
@@ -636,30 +591,6 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 				roundNs[ci] = append(roundNs[ci], ns)
 				if minNs[ci] == 0 || ns < minNs[ci] {
 					minNs[ci] = ns
-				}
-			}
-		}
-		// Accuracy metadata, outside the timed region: the fast path is
-		// batch-size-invariant (pinned by the engines' batch-invariance
-		// tests), so one full-population pass gives every tolerance
-		// cell's max |ΔE|.
-		maxDeltaE, maxExcess := 0.0, math.Inf(-1)
-		for _, pop := range [][]dock.Pose{batchPoses, winPoses} {
-			b := dock.NewBatch(lig, len(pop))
-			b.Reset()
-			for _, p := range pop {
-				b.Append(p)
-			}
-			fast := make([]float64, len(pop))
-			scoreBatchFast(b, fast)
-			for i, p := range pop {
-				exact := score(ws.Coords(p))
-				d := math.Abs(fast[i] - exact)
-				if d > maxDeltaE {
-					maxDeltaE = d
-				}
-				if ex := d - margin(exact); ex > maxExcess {
-					maxExcess = ex
 				}
 			}
 		}
@@ -691,7 +622,6 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 				NsPerOp:         minNs[ci],
 				NsPerPose:       ns,
 				MedianNsPerPose: median(roundNs[ci]) / float64(wl.nPop),
-				Precision:       c.precision,
 			}
 			if variance > 0 {
 				kb.RelStdDev = math.Sqrt(variance) / mean
@@ -703,10 +633,6 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 			if c.vsBatch >= 0 {
 				kb.SpeedupVsBatch = minNs[c.vsBatch] / minNs[ci]
 			}
-			if c.precision == "tolerance" {
-				kb.MaxAbsDeltaE = maxDeltaE
-				kb.MaxBoundExcess = maxExcess
-			}
 			rep.Benchmarks = append(rep.Benchmarks, kb)
 		}
 		_ = sink
@@ -716,10 +642,10 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		if wl.name != "reference" {
 			prefix = wl.name + "_"
 		}
-		sweep(wl, prefix+"vina", wl.vs.Score, wl.vs.ScoreBatch, wl.vs.ScoreBatchFast, vina.FastMargin)
-		sweep(wl, prefix+"ad4", wl.as.Score, wl.as.ScoreBatch, wl.as.ScoreBatchFast, ad4.FastMargin)
+		sweep(wl, prefix+"vina", wl.vs.Score, wl.vs.ScoreBatch)
+		sweep(wl, prefix+"ad4", wl.as.Score, wl.as.ScoreBatch)
 	}
-	rep.Note = "measured on a 1-CPU reference container; absolute ns and run-to-run ratios carry ±20% frequency noise — the interleaved batch-sweep cells share one fixed population per workload, so only their within-report ratios are meaningful; each sweep cell reports its fastest round (noise only slows a round down) with median_ns_per_pose and rel_stddev as the observed per-round noise; the tolerance (score_fast) cells report the max |fast−exact| energy over the population (raw delta, dominated by the relative tolerance term on r⁻¹² clash poses) and the narrowest margin to the pinned FastAbsTol/FastRelTol envelope (bound slack > 0 means no pose violated it); the *_winpop and *_window cells share a second population of fixed-rho steady-state Solis-Wets windows (see kernelSteadyWindows) with their own per-pose baseline, the *_window cells scoring each 50-pose cluster through one incumbent-anchored gather (speedup_vs_batch is that win over the plain batch cell on the same poses); workload 'large' is the L2-overflow pair — its exact radial-table working set exceeds typical per-core L2, the regime the float32 fast banks and the window gather target"
+	rep.Note = "absolute ns and run-to-run ratios carry ±20% frequency noise — the interleaved batch-sweep cells share one fixed population per workload, so only their within-report ratios are meaningful; each sweep cell reports its fastest round (noise only slows a round down) with median_ns_per_pose and rel_stddev as the observed per-round noise; the *_winpop and *_window cells share a second population of fixed-rho steady-state Solis-Wets windows (see kernelSteadyWindows) with their own per-pose baseline, the *_window cell scoring each 50-pose cluster through one incumbent-anchored gather (speedup_vs_batch is that win over the plain batch cell on the same poses); workload 'large' is the L2-overflow pair — its exact radial-table working set exceeds typical per-core L2, the regime the window gather targets"
 	return rep, nil
 }
 

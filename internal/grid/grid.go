@@ -75,75 +75,14 @@ const interactionCutoff = tables.Cutoff
 // "smooth 0.5" keyword); see tables.SmoothRadius.
 const smoothRadius = tables.SmoothRadius
 
-// Precision selects the lattice storage representation of a map set.
-// Float64 is the default; Float32 halves the in-memory (and therefore
-// cache) footprint of every map — the paper reports ~600 GB of map
-// files per execution, and the batched AD4 scorer's trilinear gathers
-// move half the bytes — at the cost of one rounding per stored value,
-// pinned against the analytic reference exactly like the radial
-// tables. Selected per-campaign (core.Config.GridFloat32).
-type Precision uint8
-
-const (
-	Float64 Precision = iota
-	Float32
-)
-
-// Maps holds every precomputed map for one receptor in exactly one of
-// the two storage representations (the other's slices stay nil).
+// Maps holds every precomputed map for one receptor.
 type Maps struct {
 	Spec     Spec
 	Receptor string
-	prec     Precision
 	affinity map[chem.AtomType][]float64
 	elec     []float64
 	desolv   []float64
-	affin32  map[chem.AtomType][]float32
-	elec32   []float32
-	desolv32 []float32
-
-	// Per-affinity-type interleaved [affinity, elec, desolv] float32
-	// lattices, built lazily for the tolerance fast path: the three
-	// lattices share every trilinear stencil, so interleaving them puts
-	// all three values of a corner pair in one contiguous 24-byte read
-	// — a quarter of the cache lines the separate lattices touch. The
-	// float64 representations are narrowed to float32 exactly as the
-	// fast lerp would, so interleaving does not change any fast-path
-	// value. See InterAccumFast.
-	aedOnce   sync.Once
-	aedTriple map[chem.AtomType][]float32
 }
-
-// fastTriple returns the interleaved [affinity, elec, desolv] lattice
-// of an affinity type, building all of them on first use.
-func (m *Maps) fastTriple(t chem.AtomType) []float32 {
-	m.aedOnce.Do(func() {
-		m.aedTriple = make(map[chem.AtomType][]float32, len(m.affinity)+len(m.affin32))
-		for ty, aff := range m.affinity {
-			tr := make([]float32, 3*len(aff))
-			for k, v := range aff {
-				tr[3*k] = float32(v)
-				tr[3*k+1] = float32(m.elec[k])
-				tr[3*k+2] = float32(m.desolv[k])
-			}
-			m.aedTriple[ty] = tr
-		}
-		for ty, aff := range m.affin32 {
-			tr := make([]float32, 3*len(aff))
-			for k, v := range aff {
-				tr[3*k] = v
-				tr[3*k+1] = m.elec32[k]
-				tr[3*k+2] = m.desolv32[k]
-			}
-			m.aedTriple[ty] = tr
-		}
-	})
-	return m.aedTriple[t]
-}
-
-// Precision returns the lattice storage representation.
-func (m *Maps) Precision() Precision { return m.prec }
-
 // Types returns the atom types with affinity maps in sorted order, so
 // everything downstream of the map keys — the .fld index WriteFLD
 // emits, the per-type map files scidock writes — is byte-identical
@@ -151,11 +90,8 @@ func (m *Maps) Precision() Precision { return m.prec }
 // iteration order into output files; scilint's detflow taint analysis
 // caught it.)
 func (m *Maps) Types() []chem.AtomType {
-	out := make([]chem.AtomType, 0, len(m.affinity)+len(m.affin32))
+	out := make([]chem.AtomType, 0, len(m.affinity))
 	for t := range m.affinity {
-		out = append(out, t)
-	}
-	for t := range m.affin32 {
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -165,7 +101,7 @@ func (m *Maps) Types() []chem.AtomType {
 // newMaps validates the inputs and allocates the map storage, returning
 // the deduplicated probe list in first-seen order (deterministic, so
 // slab workers and the reference path agree on slice identity).
-func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType, prec Precision) (*Maps, []chem.AtomType, error) {
+func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps, []chem.AtomType, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -184,31 +120,20 @@ func newMaps(receptor *chem.Molecule, spec Spec, types []chem.AtomType, prec Pre
 		}
 	}
 	n := spec.NumPoints()
-	m := &Maps{Spec: spec, Receptor: receptor.Name, prec: prec}
+	m := &Maps{
+		Spec:     spec,
+		Receptor: receptor.Name,
+		affinity: make(map[chem.AtomType][]float64, len(types)),
+		elec:     make([]float64, n),
+		desolv:   make([]float64, n),
+	}
 	var probes []chem.AtomType
-	switch prec {
-	case Float32:
-		m.affin32 = make(map[chem.AtomType][]float32, len(types))
-		m.elec32 = make([]float32, n)
-		m.desolv32 = make([]float32, n)
-		for _, t := range types {
-			if _, dup := m.affin32[t]; dup {
-				continue
-			}
-			m.affin32[t] = make([]float32, n)
-			probes = append(probes, t)
+	for _, t := range types {
+		if _, dup := m.affinity[t]; dup {
+			continue
 		}
-	default:
-		m.affinity = make(map[chem.AtomType][]float64, len(types))
-		m.elec = make([]float64, n)
-		m.desolv = make([]float64, n)
-		for _, t := range types {
-			if _, dup := m.affinity[t]; dup {
-				continue
-			}
-			m.affinity[t] = make([]float64, n)
-			probes = append(probes, t)
-		}
+		m.affinity[t] = make([]float64, n)
+		probes = append(probes, t)
 	}
 	return m, probes, nil
 }
@@ -237,14 +162,6 @@ type generator struct {
 	elec        []float64
 	desolv      []float64
 	probeSlices [][]float64
-
-	// float32 representation (GeneratePrec with Float32)
-	pairTbl32     [][]*tables.Radial32
-	elecTbl32     *tables.Radial32
-	desolvTbl32   *tables.Radial32
-	elec32        []float32
-	desolv32      []float32
-	probeSlices32 [][]float32
 }
 
 // slab fills every map value of z-plane k. affin is the worker's
@@ -289,49 +206,6 @@ func (g *generator) slab(k int, affin []float64) {
 	}
 }
 
-// slab32 is slab writing float32 lattice values from float32-node
-// radial tables (tables.Radial32). Accumulation stays float64; only
-// the table nodes and the final store are single precision, so the
-// error versus the analytic reference is the interpolation bound plus
-// the two roundings (pinned by TestGenerateFloat32MatchesReference).
-func (g *generator) slab32(k int, affin []float64) {
-	const cut2 = interactionCutoff * interactionCutoff
-	nx, ny := g.spec.NPts[0], g.spec.NPts[1]
-	idx := k * nx * ny
-	z := g.origin.Z + float64(k)*g.spec.Spacing
-	var spans [27][2]int32
-	for j := 0; j < ny; j++ {
-		y := g.origin.Y + float64(j)*g.spec.Spacing
-		for i := 0; i < nx; i++ {
-			p := chem.V(g.origin.X+float64(i)*g.spec.Spacing, y, z)
-			var elec, desolv float64
-			for pi := range affin {
-				affin[pi] = 0
-			}
-			ns := g.cells.spans(p, &spans)
-			for s := 0; s < ns; s++ {
-				for _, ai := range g.cells.idx[spans[s][0]:spans[s][1]] {
-					r2 := g.cells.atoms[ai].Dist2(p)
-					if r2 > cut2 {
-						continue
-					}
-					elec += g.charge[ai] * g.elecTbl32.At2(r2)
-					desolv += g.dcoef[ai] * g.desolvTbl32.At2(r2)
-					for pi, tbl := range g.pairTbl32[g.typeIdx[ai]] {
-						affin[pi] += tbl.At2(r2)
-					}
-				}
-			}
-			g.elec32[idx] = float32(clamp(elec))
-			g.desolv32[idx] = float32(clamp(desolv))
-			for pi := range affin {
-				g.probeSlices32[pi][idx] = float32(clamp(affin[pi]))
-			}
-			idx++
-		}
-	}
-}
-
 // Generate runs AutoGrid: for every lattice point, accumulate the
 // pairwise receptor interaction for each requested probe type, plus
 // electrostatic and desolvation terms, using the precomputed radial
@@ -348,15 +222,7 @@ func Generate(receptor *chem.Molecule, spec Spec, types []chem.AtomType) (*Maps,
 // alone and every lattice point is written exactly once, so the output
 // is bit-identical for every worker count.
 func GenerateWorkers(receptor *chem.Molecule, spec Spec, types []chem.AtomType, workers int) (*Maps, error) {
-	return GeneratePrec(receptor, spec, types, workers, Float64)
-}
-
-// GeneratePrec is GenerateWorkers with an explicit lattice storage
-// representation; Float32 accumulates from the float32-node radial
-// tables and stores single-precision values. The worker-count
-// invariance guarantee holds for both representations.
-func GeneratePrec(receptor *chem.Molecule, spec Spec, types []chem.AtomType, workers int, prec Precision) (*Maps, error) {
-	m, probes, err := newMaps(receptor, spec, types, prec)
+	m, probes, err := newMaps(receptor, spec, types)
 	if err != nil {
 		return nil, err
 	}
@@ -388,38 +254,18 @@ func GeneratePrec(receptor *chem.Molecule, spec Spec, types []chem.AtomType, wor
 		g.typeIdx[i] = ti
 	}
 
-	var slab func(k int, affin []float64)
-	switch prec {
-	case Float32:
-		g.elecTbl32 = tables.Electrostatic32()
-		g.desolvTbl32 = tables.Desolvation32()
-		g.elec32, g.desolv32 = m.elec32, m.desolv32
-		for _, t := range probes {
-			g.probeSlices32 = append(g.probeSlices32, m.affin32[t])
+	g.elecTbl = tables.Electrostatic()
+	g.desolvTbl = tables.Desolvation()
+	g.elec, g.desolv = m.elec, m.desolv
+	for _, t := range probes {
+		g.probeSlices = append(g.probeSlices, m.affinity[t])
+	}
+	for _, at := range typeList {
+		row := make([]*tables.Radial, len(probes))
+		for pi, pt := range probes {
+			row[pi] = tables.AD4Smoothed(pt, at)
 		}
-		for _, at := range typeList {
-			row := make([]*tables.Radial32, len(probes))
-			for pi, pt := range probes {
-				row[pi] = tables.AD4Smoothed32(pt, at)
-			}
-			g.pairTbl32 = append(g.pairTbl32, row)
-		}
-		slab = g.slab32
-	default:
-		g.elecTbl = tables.Electrostatic()
-		g.desolvTbl = tables.Desolvation()
-		g.elec, g.desolv = m.elec, m.desolv
-		for _, t := range probes {
-			g.probeSlices = append(g.probeSlices, m.affinity[t])
-		}
-		for _, at := range typeList {
-			row := make([]*tables.Radial, len(probes))
-			for pi, pt := range probes {
-				row[pi] = tables.AD4Smoothed(pt, at)
-			}
-			g.pairTbl = append(g.pairTbl, row)
-		}
-		slab = g.slab
+		g.pairTbl = append(g.pairTbl, row)
 	}
 
 	nz := spec.NPts[2]
@@ -438,7 +284,7 @@ func GeneratePrec(receptor *chem.Molecule, spec Spec, types []chem.AtomType, wor
 	if workers <= 1 {
 		affin := make([]float64, len(probes))
 		for k := 0; k < nz; k++ {
-			slab(k, affin)
+			g.slab(k, affin)
 		}
 		return m, nil
 	}
@@ -450,7 +296,7 @@ func GeneratePrec(receptor *chem.Molecule, spec Spec, types []chem.AtomType, wor
 			defer wg.Done()
 			affin := make([]float64, len(probes))
 			for k := range slabs {
-				slab(k, affin)
+				g.slab(k, affin)
 			}
 		}()
 	}

@@ -525,3 +525,50 @@ func TestMehlerSolmajerDielectric(t *testing.T) {
 		prev = e
 	}
 }
+
+// TestFieldMatchesAccessors pins that a resolved Field and the per-call
+// Maps accessors interpolate bit-identically, inside and outside the
+// box, and that resolving a type without a map errors.
+func TestFieldMatchesAccessors(t *testing.T) {
+	rec := preparedReceptor(t, "2HHN")
+	spec := smallSpec(rec)
+	m, err := GenerateWorkers(rec, spec, []chem.AtomType{chem.TypeC, chem.TypeOA}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fC, err := m.AffinityField(chem.TypeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, fd := m.ElectrostaticField(), m.DesolvationField()
+	r := rand.New(rand.NewSource(31))
+	span := chem.V(
+		float64(spec.NPts[0]-1)*spec.Spacing,
+		float64(spec.NPts[1]-1)*spec.Spacing,
+		float64(spec.NPts[2]-1)*spec.Spacing,
+	)
+	for i := 0; i < 500; i++ {
+		// Mostly inside the box, sometimes outside (penalty path).
+		p := spec.Origin().Add(chem.V(
+			(r.Float64()*1.2-0.1)*span.X,
+			(r.Float64()*1.2-0.1)*span.Y,
+			(r.Float64()*1.2-0.1)*span.Z,
+		))
+		aff, err := m.AffinityAt(chem.TypeC, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fC.At(p); got != aff {
+			t.Fatalf("AffinityField.At %v != AffinityAt %v", got, aff)
+		}
+		if got := fe.At(p); got != m.ElectrostaticAt(p) {
+			t.Fatal("ElectrostaticField.At diverges")
+		}
+		if got := fd.At(p); got != m.DesolvationAt(p) {
+			t.Fatal("DesolvationField.At diverges")
+		}
+	}
+	if _, err := m.AffinityField(chem.TypeZn); err == nil {
+		t.Fatal("AffinityField for missing type must error")
+	}
+}

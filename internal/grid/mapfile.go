@@ -15,7 +15,7 @@ import (
 // These files are the bulk of the "600 GB per execution" the paper
 // reports; the workflow stores them on the shared file system.
 func (m *Maps) WriteMap(w io.Writer, which string) error {
-	n, at, err := m.values(which)
+	sl, err := m.values(which)
 	if err != nil {
 		return err
 	}
@@ -26,31 +26,14 @@ func (m *Maps) WriteMap(w io.Writer, which string) error {
 	fmt.Fprintf(bw, "SPACING %.3f\n", m.Spec.Spacing)
 	fmt.Fprintf(bw, "NELEMENTS %d %d %d\n", m.Spec.NPts[0]-1, m.Spec.NPts[1]-1, m.Spec.NPts[2]-1)
 	fmt.Fprintf(bw, "CENTER %.3f %.3f %.3f\n", m.Spec.Center.X, m.Spec.Center.Y, m.Spec.Center.Z)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(bw, "%.3f\n", at(i))
+	for _, v := range sl {
+		fmt.Fprintf(bw, "%.3f\n", v)
 	}
 	return bw.Flush()
 }
 
-// values resolves one map by name to an indexed accessor, widening
-// float32 lattices on the fly (the .map text format is representation
-// agnostic).
-func (m *Maps) values(which string) (int, func(int) float64, error) {
-	if m.prec == Float32 {
-		var sl []float32
-		switch which {
-		case "e":
-			sl = m.elec32
-		case "d":
-			sl = m.desolv32
-		default:
-			var ok bool
-			if sl, ok = m.affin32[chem.AtomType(which)]; !ok {
-				return 0, nil, fmt.Errorf("grid: receptor %s has no map %q", m.Receptor, which)
-			}
-		}
-		return len(sl), func(i int) float64 { return float64(sl[i]) }, nil
-	}
+// values resolves one map by name.
+func (m *Maps) values(which string) ([]float64, error) {
 	var sl []float64
 	switch which {
 	case "e":
@@ -60,10 +43,10 @@ func (m *Maps) values(which string) (int, func(int) float64, error) {
 	default:
 		var ok bool
 		if sl, ok = m.affinity[chem.AtomType(which)]; !ok {
-			return 0, nil, fmt.Errorf("grid: receptor %s has no map %q", m.Receptor, which)
+			return nil, fmt.Errorf("grid: receptor %s has no map %q", m.Receptor, which)
 		}
 	}
-	return len(sl), func(i int) float64 { return sl[i] }, nil
+	return sl, nil
 }
 
 // ParseMap reads a .map file written by WriteMap into a fresh Maps

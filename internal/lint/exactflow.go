@@ -12,24 +12,22 @@ import (
 // bit-identical to a reference path (the batched scorers against the
 // per-pose scorers, the SoA kinematics against the AoS path); that
 // promise dies the moment a float32 value participates in the
-// arithmetic, because float32 rounding is exactly the freedom the
-// tolerance-bounded fast path (ScoreBatchFast) paid for with its
-// error envelope. The analyzer flags, inside the body of a directive-
-// marked function:
+// arithmetic, because float32 rounding is a freedom the reference
+// path never takes. The analyzer flags, inside the body of a
+// directive-marked function:
 //
 //   - conversions to a float32-based type (narrowing introduces
 //     rounding the reference path never performs);
 //   - binary arithmetic (+ - * /) on float32 operands;
 //   - compound assignments (+= -= *= /=) to float32 operands.
 //
-// Widening float64(x32) is exempt — reading a float32 source (for
-// example a single-precision grid lattice) and widening it before any
-// arithmetic is exactly how the exact paths are specified to consume
+// Widening float64(x32) is exempt — reading a float32 source and
+// widening it before any arithmetic is how an exact path may consume
 // such storage. Declaring or passing float32 values is likewise fine;
 // only arithmetic and narrowing inside the exact function break the
-// contract. Code that legitimately needs float32 belongs in a
-// function without the directive (the fast kernels), or under a
-// //lint:ignore exactflow <reason>.
+// contract. Code that legitimately needs float32 (the packed prune
+// spheres next to the exact kernels) belongs in a function without
+// the directive, or under a //lint:ignore exactflow <reason>.
 var ExactFlow = &Analyzer{
 	Name:     "exactflow",
 	Doc:      "flags float32 narrowing and arithmetic inside //exact: bit-identical functions",
@@ -76,7 +74,7 @@ func runExactFlow(pass *Pass) {
 				return // not a narrowing to float32
 			}
 			pass.Reportf(e.Pos(),
-				"float32 conversion inside //exact: function; narrowing breaks bit-identity — move it to the tolerance fast path or annotate //lint:ignore exactflow <reason>")
+				"float32 conversion inside //exact: function; narrowing breaks bit-identity — move it out of the exact function or annotate //lint:ignore exactflow <reason>")
 		case *ast.BinaryExpr:
 			switch e.Op {
 			case token.ADD, token.SUB, token.MUL, token.QUO:
@@ -87,7 +85,7 @@ func runExactFlow(pass *Pass) {
 				return
 			}
 			pass.Reportf(e.OpPos,
-				"float32 %s arithmetic inside //exact: function; float32 rounding breaks bit-identity — move it to the tolerance fast path or annotate //lint:ignore exactflow <reason>", e.Op)
+				"float32 %s arithmetic inside //exact: function; float32 rounding breaks bit-identity — move it out of the exact function or annotate //lint:ignore exactflow <reason>", e.Op)
 		case *ast.AssignStmt:
 			switch e.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
@@ -98,7 +96,7 @@ func runExactFlow(pass *Pass) {
 				return
 			}
 			pass.Reportf(e.TokPos,
-				"float32 %s inside //exact: function; float32 rounding breaks bit-identity — move it to the tolerance fast path or annotate //lint:ignore exactflow <reason>", e.Tok)
+				"float32 %s inside //exact: function; float32 rounding breaks bit-identity — move it out of the exact function or annotate //lint:ignore exactflow <reason>", e.Tok)
 		}
 	})
 }

@@ -25,12 +25,10 @@ go run ./cmd/scilint ./cmd/... ./internal/lint/...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Focused re-run of the precision contracts outside the cached suite:
-# the 0-ULP batched-kinematics pin, the fast-path tolerance envelopes,
-# and the screen-then-confirm docking golden.
-echo "==> precision contract smoke (FastPath/TorsionsBatch/PrecisionTolerance)"
-go test -run 'FastPath|TorsionsBatch|PrecisionTolerance' -count=1 \
-	./internal/chem ./internal/dock/vina ./internal/dock/ad4
+# Focused re-run of the 0-ULP batched-kinematics pin outside the
+# cached suite.
+echo "==> batched-kinematics contract smoke (TorsionsBatch)"
+go test -run 'TorsionsBatch' -count=1 ./internal/chem
 
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
@@ -57,7 +55,7 @@ rm -rf "$gen_a" "$gen_b"
 echo "==> search benchmark smoke (dockbench -exp search -quick)"
 go run ./cmd/dockbench -exp search -quick -benchout ''
 
-echo "==> batched-scoring benchmark smoke, exact + tolerance cells (dockbench -exp kernels -quick)"
+echo "==> batched-scoring benchmark smoke, exact cells (dockbench -exp kernels -quick)"
 go run ./cmd/dockbench -exp kernels -quick -benchout ''
 
 echo "==> pipeline runtime benchmark smoke (-benchtime=1x)"
