@@ -57,11 +57,6 @@ func BenchmarkFigure11Query2(b *testing.B)          { runExperiment(b, "f11") }
 
 // --- ablation benchmarks (design choices called out in DESIGN.md) ----
 
-// BenchmarkPipelineRuntime compares the stage-barrier executor with
-// the pipelined dataflow runtime (virtual TET, failures off/on); the
-// same ablation dockbench -exp pipeline writes to BENCH_pipeline.json.
-func BenchmarkPipelineRuntime(b *testing.B) { runExperiment(b, "pipeline") }
-
 // BenchmarkAblationSchedulers compares the calibrated greedy scheduler
 // with the naive round-robin baseline on the 10k-pair AD4 workload at
 // 32 cores.

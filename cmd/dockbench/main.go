@@ -11,9 +11,6 @@
 //	dockbench -exp search       # conformational-search benchmarks
 //	                            # (workspace + parallel chains), also
 //	                            # written to -benchout as JSON
-//	dockbench -exp pipeline     # stage-barrier vs pipelined dataflow
-//	                            # runtime (virtual TET), also written
-//	                            # to -benchout as JSON
 //	dockbench -exp prov         # provenance-store ingest/close/query
 //	                            # benchmarks, also written to
 //	                            # -benchout as JSON
@@ -39,10 +36,10 @@ type jsonReport interface {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: t1, t2, t3, f5..f11, kernels, search, pipeline, prov, campaigns or all")
+		exp      = flag.String("exp", "all", "experiment id: t1, t2, t3, f5..f11, kernels, search, prov, campaigns or all")
 		quick    = flag.Bool("quick", false, "reduced workloads (for smoke runs)")
 		benchout = flag.String("benchout", "auto",
-			"JSON output path for -exp kernels/search/pipeline/prov/campaigns; \"auto\" picks BENCH_<exp>.json, empty skips")
+			"JSON output path for -exp kernels/search/prov/campaigns; \"auto\" picks BENCH_<exp>.json, empty skips")
 	)
 	flag.Parse()
 	s := &experiments.Suite{Quick: *quick}
@@ -54,8 +51,6 @@ func main() {
 		rep, err = s.Kernels()
 	case "search":
 		rep, err = s.Search()
-	case "pipeline":
-		rep, err = s.Pipeline()
 	case "prov":
 		rep, err = s.Prov()
 	case "campaigns":

@@ -210,6 +210,17 @@ func run(mode string, receptors, ligands, cores int, effort string, seed int64, 
 // once the listener is up.
 var serveListening func(string)
 
+// Connection timeouts of the campaign service. A client must finish
+// its request headers within serveReadHeaderTimeout, and an idle
+// keep-alive connection is closed after serveIdleTimeout, so stalled
+// clients cannot hold connections forever. No write timeout is set:
+// a provenance query cannot be cancelled yet, so cutting the write
+// would drop the response while the query kept running.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // runServe runs the resident campaign service until ctx is cancelled
 // (SIGINT/SIGTERM in main), then drains: admissions stop, queued
 // campaigns are cancelled, running ones get a grace period to finish
@@ -225,7 +236,11 @@ func runServe(ctx context.Context, addr string) error {
 		serveListening(ln.Addr().String())
 	}
 
-	srv := &http.Server{Handler: campaign.NewHandler(m)}
+	srv := &http.Server{
+		Handler:           campaign.NewHandler(m),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

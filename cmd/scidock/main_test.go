@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -81,22 +83,9 @@ func TestValidateFlagsUpFront(t *testing.T) {
 // TestServeSmoke drives the resident service end to end in-process:
 // start, submit a tiny campaign over HTTP, poll it to completion, run
 // a provenance query, then shut down cleanly via context cancellation
-// (the code path SIGTERM takes).
+// (the code path SIGTERM takes; see startServe).
 func TestServeSmoke(t *testing.T) {
-	addrCh := make(chan string, 1)
-	serveListening = func(addr string) { addrCh <- addr }
-	defer func() { serveListening = nil }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- runServe(ctx, "127.0.0.1:0") }()
-	var base string
-	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-	case err := <-done:
-		t.Fatalf("server exited early: %v", err)
-	}
+	base := "http://" + startServe(t)
 
 	body, err := json.Marshal(map[string]any{
 		"mode": "ad4", "receptors": 2, "ligands": 1, "cores": 4,
@@ -159,14 +148,65 @@ func TestServeSmoke(t *testing.T) {
 	if len(qr.Rows) != 1 || qr.Rows[0][0] == "0" {
 		t.Errorf("served query rows = %v, want one nonzero count", qr.Rows)
 	}
+}
 
-	cancel()
+// startServe runs runServe on a loopback port and returns its address.
+// Cleanup cancels the server's context (the code path SIGTERM takes)
+// and requires a clean shutdown within a minute.
+func startServe(t *testing.T) string {
+	t.Helper()
+	addrCh := make(chan string, 1)
+	serveListening = func(addr string) { addrCh <- addr }
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- runServe(ctx, "127.0.0.1:0") }()
 	select {
+	case addr := <-addrCh:
+		t.Cleanup(func() {
+			serveListening = nil
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Errorf("shutdown: %v", err)
+				}
+			case <-time.After(time.Minute):
+				t.Error("server did not shut down within a minute")
+			}
+		})
+		return addr
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("server did not shut down within a minute")
+		serveListening = nil
+		cancel()
+		t.Fatalf("server exited early: %v", err)
+		return ""
+	}
+}
+
+// TestServeClosesStalledHeaders pins the header timeout: a client
+// that opens a connection and never finishes its request headers is
+// disconnected once serveReadHeaderTimeout passes, instead of holding
+// the connection forever.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	conn, err := net.Dial("tcp", startServe(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The blank line that ends the headers never comes.
+	if _, err := conn.Write([]byte("GET /campaigns HTTP/1.1\r\nHost: scidock\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(serveReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = conn.Read(make([]byte, 512))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server still holds a stalled connection after %v", time.Since(start).Round(time.Second))
+	}
+	if err == nil {
+		t.Fatal("server answered a request whose headers never ended")
 	}
 }

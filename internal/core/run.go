@@ -73,12 +73,8 @@ type Config struct {
 	Adaptive        *sched.AdaptivePolicy
 	Parallelism     int
 	DisableFailures bool
-	// Runtime selects the execution engine: the pipelined dataflow
-	// runtime (default) or the legacy stage-barrier executor, kept for
-	// ablation.
-	Runtime engine.Runtime
-	// OnStageComplete receives runtime-steering snapshots after each
-	// activity stage (§IV.B's runtime provenance monitoring).
+	// OnStageComplete receives a runtime-steering snapshot whenever an
+	// activity closes (§IV.B's runtime provenance monitoring).
 	OnStageComplete func(engine.StageEvent)
 	// ProvenanceEstimates orders scheduling by provenance history
 	// instead of true durations (SciCumulus' weighted cost model).
@@ -155,7 +151,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		Parallelism:         cfg.Parallelism,
 		Tokens:              cfg.Tokens,
 		DisableFailures:     cfg.DisableFailures,
-		Runtime:             cfg.Runtime,
 		OnStageComplete:     cfg.OnStageComplete,
 		ProvenanceEstimates: cfg.ProvenanceEstimates,
 	}

@@ -39,31 +39,28 @@ func abortedRows(t *testing.T, e *Engine) int {
 
 // TestRunContextPreCancelled pins the deterministic fast path: a
 // context cancelled before Run places anything aborts every admitted
-// activation under both runtimes.
+// activation.
 func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rt := range []Runtime{RuntimeDataflow, RuntimeBarrier} {
-		e, err := New(Options{Cores: 4, Runtime: rt, Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := e.RunContext(ctx, toyWorkflow(), inputRelation(6))
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("runtime %v: err = %v, want ErrCancelled", rt, err)
-		}
-		if rep == nil {
-			t.Fatalf("runtime %v: cancelled run returned nil report", rt)
-		}
-		// The six source activations were admitted and must be
-		// accounted for; downstream work never materialized.
-		if rep.Aborted != 6 || rep.Activations != 6 {
-			t.Errorf("runtime %v: activations/aborted = %d/%d, want 6/6",
-				rt, rep.Activations, rep.Aborted)
-		}
-		if got := abortedRows(t, e); got != 6 {
-			t.Errorf("runtime %v: %d cancel-aborted prov rows, want 6", rt, got)
-		}
+	e, err := New(Options{Cores: 4, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.RunContext(ctx, toyWorkflow(), inputRelation(6))
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if rep == nil {
+		t.Fatal("cancelled run returned nil report")
+	}
+	// The six source activations were admitted and must be accounted
+	// for; downstream work never materialized.
+	if rep.Aborted != 6 || rep.Activations != 6 {
+		t.Errorf("activations/aborted = %d/%d, want 6/6", rep.Activations, rep.Aborted)
+	}
+	if got := abortedRows(t, e); got != 6 {
+		t.Errorf("%d cancel-aborted prov rows, want 6", got)
 	}
 }
 
@@ -126,9 +123,9 @@ func TestRunTokensAccountIdentical(t *testing.T) {
 	pool := parallel.NewPool(2)
 	acct := pool.NewAccount()
 	defer acct.Close()
-	base, baseRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4, Parallelism: 4}, toyWorkflow(), 12)
-	withAcct, acctRep := runRuntime(t, RuntimeDataflow, Options{Cores: 4, Parallelism: 4, Tokens: acct}, toyWorkflow(), 12)
-	assertGoldenMatch(t, base, withAcct, baseRep, acctRep)
+	base, baseRep := runEngine(t, Options{Cores: 4, Parallelism: 4}, toyWorkflow(), 12)
+	withAcct, acctRep := runEngine(t, Options{Cores: 4, Parallelism: 4, Tokens: acct}, toyWorkflow(), 12)
+	assertGolden(t, withAcct, acctRep, goldenOf(t, base, baseRep))
 	if held := acct.Held(); held != 0 {
 		t.Errorf("account holds %d tokens after run", held)
 	}

@@ -13,21 +13,6 @@ import (
 	"repro/internal/workflow"
 )
 
-// Runtime selects Engine.Run's execution strategy.
-type Runtime int
-
-const (
-	// RuntimeDataflow is the pipelined per-tuple runtime (default):
-	// every (activity, tuple) activation flows downstream the moment
-	// its own predecessors finish, as SciCumulus dispatches
-	// activations. Reduce is the only barrier, and only per
-	// group-key.
-	RuntimeDataflow Runtime = iota
-	// RuntimeBarrier is the legacy stage-synchronized executor, kept
-	// for ablation (dockbench -exp pipeline compares the two).
-	RuntimeBarrier
-)
-
 // dfNode is one activation of the dataflow DAG: an (activity, tuple)
 // pair whose real body runs on the wall-clock worker pool while its
 // virtual placement is decided by the dispatcher.
@@ -381,9 +366,7 @@ func (d *dataflow) runNode(n *dfNode) {
 		n.result, n.err = runReduceBody(n.act, n.group)
 		return
 	}
-	oc := activationOutcome{tuple: n.tuple}
-	runBody(n.act, &oc)
-	n.result, n.err = oc.result, oc.err
+	n.result, n.err = runBody(n.act, n.tuple)
 }
 
 // finish publishes a body outcome (caller holds d.mu): children are
@@ -414,6 +397,16 @@ func (d *dataflow) finish(n *dfNode) {
 	d.doneCond.Broadcast()
 }
 
+// runBody executes one activation body, containing panics.
+func runBody(act *workflow.Activity, tuple workflow.Tuple) (res *workflow.ActivationResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: activation panicked: %v", r)
+		}
+	}()
+	return act.Run(tuple)
+}
+
 // runReduceBody executes a Reduce body, containing panics.
 func runReduceBody(act *workflow.Activity, group []workflow.Tuple) (res *workflow.ActivationResult, err error) {
 	defer func() {
@@ -425,11 +418,10 @@ func runReduceBody(act *workflow.Activity, group []workflow.Tuple) (res *workflo
 }
 
 // place streams one activation into the virtual timeline and the
-// provenance store. Classification mirrors the barrier engine:
-// steering aborts and genuine errors record terminal rows at the
-// node's ready time; looping activations are charged the loop timeout
-// on a core then aborted; successes get cost-model attempts, file
-// staging and extractor output.
+// provenance store. Steering aborts and genuine errors record
+// terminal rows at the node's ready time; looping activations are
+// charged the loop timeout on a core then aborted; successes get
+// cost-model attempts, file staging and extractor output.
 func (d *dataflow) place(n *dfNode) error {
 	e := d.e
 	st := &d.stats[n.actIdx]
@@ -607,8 +599,7 @@ func (d *dataflow) maybeClose(ai int) error {
 				}
 			} else if err := d.activityReady(di, d.registered[di]); err != nil {
 				// The dependent's full load is now known (upstreams
-				// closed): let the adaptive policy size the fleet for
-				// it, as the barrier runtime did per stage.
+				// closed): let the adaptive policy size the fleet.
 				return err
 			}
 			work = append(work, di)
@@ -672,10 +663,9 @@ func (d *dataflow) spawnReduce(ai int) error {
 
 // activityReady fires when an activity's full activation count is
 // known (sources at submit, Reduce at its upstream close): the
-// adaptive-elasticity hook sizes the fleet for the incoming load, as
-// the barrier runtime did per stage. Map-like activities in
-// mid-stream inherit the fleet as-is — their activations trickle in
-// and are absorbed by the current allocation.
+// adaptive-elasticity hook sizes the fleet for the incoming load.
+// Map-like activities in mid-stream inherit the fleet as-is — their
+// activations trickle in and are absorbed by the current allocation.
 func (d *dataflow) activityReady(ai, count int) error {
 	e := d.e
 	if e.opts.Adaptive == nil || count == 0 {

@@ -520,8 +520,6 @@ func (s *Suite) ByName(name string) (string, error) {
 		return s.KernelsText()
 	case "search":
 		return s.SearchText()
-	case "pipeline":
-		return s.PipelineText()
 	case "campaigns":
 		return s.CampaignsText()
 	case "prov":
@@ -529,6 +527,6 @@ func (s *Suite) ByName(name string) (string, error) {
 	case "all":
 		return s.All()
 	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, kernels, search, pipeline, prov, campaigns, all)", name)
+		return "", fmt.Errorf("experiments: unknown experiment %q (want t1-t3, f5-f11, kernels, search, prov, campaigns, all)", name)
 	}
 }

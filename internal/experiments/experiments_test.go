@@ -168,47 +168,6 @@ func TestKernelsQuick(t *testing.T) {
 	}
 }
 
-func TestPipelineQuick(t *testing.T) {
-	s := &Suite{Quick: true}
-	rep, err := s.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three core counts, failure injection off and on for each.
-	if len(rep.Entries) != 6 {
-		t.Fatalf("got %d entries, want 6", len(rep.Entries))
-	}
-	for _, e := range rep.Entries {
-		if e.BarrierTET <= 0 || e.PipelinedTET <= 0 {
-			t.Errorf("c=%d failures=%v: non-positive TET %+v", e.Cores, e.Failures, e)
-		}
-		if e.Speedup <= 0 {
-			t.Errorf("c=%d failures=%v: speedup %v", e.Cores, e.Failures, e.Speedup)
-		}
-		if e.Activations <= 0 {
-			t.Errorf("c=%d failures=%v: no activations", e.Cores, e.Failures)
-		}
-		if e.Failures && e.Recovered == 0 {
-			t.Errorf("c=%d: injection on but no recovered failures", e.Cores)
-		}
-		if !e.Failures && e.Recovered != 0 {
-			t.Errorf("c=%d: injection off but %d recovered failures", e.Cores, e.Recovered)
-		}
-	}
-	js, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"barrier_tet_secs", "pipelined_tet_secs", "failure_injection", "speedup"} {
-		if !strings.Contains(string(js), key) {
-			t.Errorf("JSON missing %q", key)
-		}
-	}
-	if out, err := s.ByName("pipeline"); err != nil || !strings.Contains(out, "PIPELINE BENCHMARKS") {
-		t.Errorf("ByName(pipeline) = %q, %v", out, err)
-	}
-}
-
 func TestCampaignsQuick(t *testing.T) {
 	s := &Suite{Quick: true}
 	rep, err := s.Campaigns()

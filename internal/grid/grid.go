@@ -18,6 +18,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -47,6 +48,10 @@ func (s Spec) Origin() chem.Vec3 {
 // NumPoints returns the total lattice size.
 func (s Spec) NumPoints() int { return s.NPts[0] * s.NPts[1] * s.NPts[2] }
 
+// maxAxisPoints bounds each lattice axis so NumPoints cannot overflow
+// int; real AutoGrid boxes stay in the hundreds.
+const maxAxisPoints = 1 << 20
+
 // Validate checks the spec is usable.
 func (s Spec) Validate() error {
 	for i, n := range s.NPts {
@@ -54,8 +59,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("grid: npts[%d] = %d, need ≥ 2", i, n)
 		}
 	}
-	if s.Spacing <= 0 {
-		return fmt.Errorf("grid: spacing %v must be positive", s.Spacing)
+	if !(s.Spacing > 0) || math.IsInf(s.Spacing, 1) {
+		return fmt.Errorf("grid: spacing %v must be positive and finite", s.Spacing)
+	}
+	if s.NPts[0] > maxAxisPoints || s.NPts[1] > maxAxisPoints || s.NPts[2] > maxAxisPoints {
+		return fmt.Errorf("grid: npts %v exceeds %d per axis", s.NPts, maxAxisPoints)
 	}
 	return nil
 }

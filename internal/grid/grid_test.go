@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/chem"
@@ -231,6 +232,21 @@ func TestParseMapErrors(t *testing.T) {
 	short := "SPACING 1\nNELEMENTS 2 2 2\nCENTER 0 0 0\n1.0\n"
 	if _, err := ParseMap(bytes.NewReader([]byte(short)), "C", "t"); err == nil {
 		t.Error("value-count mismatch accepted")
+	}
+	eight := strings.Repeat("0.0\n", 8)
+	// Each lattice below has exactly as many points as values, so only
+	// Spec validation can refuse it.
+	for _, tc := range []struct{ name, input string }{
+		{"negative NELEMENTS", "SPACING 0.5\nNELEMENTS -3 -3 1\nCENTER 0 0 0\n" + eight},
+		{"zero SPACING", "SPACING 0\nNELEMENTS 1 1 1\nCENTER 0 0 0\n" + eight},
+		{"negative SPACING", "SPACING -0.375\nNELEMENTS 1 1 1\nCENTER 0 0 0\n" + eight},
+		{"NaN SPACING", "SPACING NaN\nNELEMENTS 1 1 1\nCENTER 0 0 0\n" + eight},
+		// 2^32 × 2^32 × 2 points wrap int to 0, matching no values.
+		{"overflowing NELEMENTS", "SPACING 1\nNELEMENTS 4294967295 4294967295 1\nCENTER 0 0 0\n"},
+	} {
+		if m, err := ParseMap(strings.NewReader(tc.input), "C", "t"); err == nil {
+			t.Errorf("%s accepted: spec %+v", tc.name, m.Spec)
+		}
 	}
 }
 

@@ -118,6 +118,9 @@ func ParseMap(r io.Reader, which string, name string) (*Maps, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("grid: map %q: %w", name, err)
 	}
+	if err := m.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("grid: map %q: %w", name, err)
+	}
 	if want := m.Spec.NumPoints(); len(values) != want {
 		return nil, fmt.Errorf("grid: map %q: %d values, lattice wants %d", name, len(values), want)
 	}

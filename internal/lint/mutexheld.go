@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// MutexHeld guards the engine's critical sections. The engine, mpj
-// and prov layers all serialize on small mutexes while thousands of
-// goroutine activations run; a blocking operation inside a held
-// region turns a nanosecond critical section into a convoy (or a
-// deadlock when the blocked operation needs the same lock), and a
+// MutexHeld guards the engine's critical sections. The engine,
+// campaign and prov layers all serialize on small mutexes while
+// thousands of goroutine activations run; a blocking operation inside
+// a held region turns a nanosecond critical section into a convoy (or
+// a deadlock when the blocked operation needs the same lock), and a
 // lock value copied by value silently forks the lock. Findings:
 //
 //   - error: a sync.Mutex/RWMutex received, copied or ranged by value;

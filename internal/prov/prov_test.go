@@ -120,10 +120,8 @@ ORDER BY t.endtime`
 	}
 }
 
-// Query 1 from Figure 10, verbatim.
-func TestQuery1(t *testing.T) {
-	db := seededDB(t)
-	sql := `SELECT a.tag,
+// figure10SQL is Query 1 from Figure 10, verbatim.
+const figure10SQL = `SELECT a.tag,
 min(extract ('epoch' from (t.endtime-t.starttime))),
 max(extract ('epoch' from (t.endtime-t.starttime))),
 sum(extract ('epoch' from (t.endtime-t.starttime))),
@@ -133,7 +131,19 @@ WHERE w.wkfid = a.wkfid
 AND a.actid = t.actid
 AND w.wkfid =432
 GROUP BY a.tag`
-	res, err := db.Query(sql)
+
+// figure11SQL is Query 2 from Figure 11: .dlg files with their
+// producing workflow and activity.
+const figure11SQL = `SELECT w.tag, a.tag, f.fname, f.fsize, f.fdir
+FROM hworkflow w, hactivity a, hfile f
+WHERE w.wkfid = a.wkfid
+AND a.actid = f.actid
+AND f.fname LIKE '%.dlg'
+ORDER BY f.fsize DESC`
+
+func TestQuery1(t *testing.T) {
+	db := seededDB(t)
+	res, err := db.Query(figure10SQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +168,9 @@ GROUP BY a.tag`
 	}
 }
 
-// Query 2 from Figure 11: .dlg files with producing workflow/activity.
 func TestQuery2(t *testing.T) {
 	db := seededDB(t)
-	sql := `SELECT w.tag, a.tag, f.fname, f.fsize, f.fdir
-FROM hworkflow w, hactivity a, hfile f
-WHERE w.wkfid = a.wkfid
-AND a.actid = f.actid
-AND f.fname LIKE '%.dlg'
-ORDER BY f.fsize DESC`
-	res, err := db.Query(sql)
+	res, err := db.Query(figure11SQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,12 +195,6 @@ func (g *Greedy) batchOrder(acts []Activation) []int {
 	return order
 }
 
-// Schedule is the legacy batch entry point, kept for the barrier
-// engine and the scheduler-ablation benchmarks.
-func (g *Greedy) Schedule(startAt float64, acts []Activation, vms []*cloud.VM) ([]Placement, float64, error) {
-	return Batch{S: g}.Schedule(startAt, acts, vms)
-}
-
 // RoundRobin is the naive baseline scheduler used by the ablation
 // benchmarks: activations are dealt to cores in arrival order with no
 // cost weighting and no master serialization.
@@ -247,24 +241,20 @@ func (rr *RoundRobin) Place(now float64, a Activation, fleet []*cloud.VM) (Place
 	return p, nil
 }
 
-// Schedule is the legacy batch entry point.
-func (rr *RoundRobin) Schedule(startAt float64, acts []Activation, vms []*cloud.VM) ([]Placement, float64, error) {
-	return Batch{S: rr}.Schedule(startAt, acts, vms)
-}
-
 // batchOrderer lets a scheduler pick the order Batch replays a stage
 // in; schedulers without the method place in arrival order.
 type batchOrderer interface {
 	batchOrder(acts []Activation) []int
 }
 
-// Batch adapts an online Scheduler back to the legacy stage-barrier
-// contract: placement state is reset (every stage starts with an idle
-// fleet — that is what a barrier means), the stage's activations are
-// placed in the scheduler's batch order, and the stage makespan
-// (virtual end of the last activation, measured from startAt) is
-// returned. The barrier engine and the scheduler ablations run
-// through this adapter.
+// Batch adapts an online Scheduler to whole-stage planning: placement
+// state is reset (every stage starts with an idle fleet), the stage's
+// activations are placed in the scheduler's batch order, and the
+// stage makespan (virtual end of the last activation, measured from
+// startAt) is returned. Its only production caller is the Figure 7–9
+// performance sweep (core/perf.go), which replays the paper's
+// stage-by-stage execution model; the engine places activations
+// online through Scheduler.Place.
 type Batch struct {
 	S Scheduler
 }

@@ -107,7 +107,7 @@ func acts(n int, cost float64) []Activation {
 func TestGreedyScheduleBasic(t *testing.T) {
 	_, vms := makeFleet(t, 8)
 	g := NewGreedy()
-	placements, makespan, err := g.Schedule(0, acts(16, 100), vms)
+	placements, makespan, err := Batch{S: g}.Schedule(0, acts(16, 100), vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +149,12 @@ func TestGreedyLPTBeatsRoundRobinOnSkewedLoad(t *testing.T) {
 		mixed = append(mixed, Activation{ID: int64(10 + i), Tag: "x", Key: fmt.Sprintf("l%d", i), Attempts: []float64{10}})
 	}
 	g := &Greedy{MasterDelayPerVM: 0}
-	_, gm, err := g.Schedule(0, mixed, vms)
+	_, gm, err := Batch{S: g}.Schedule(0, mixed, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rr := &RoundRobin{}
-	_, rm, err := rr.Schedule(0, mixed, vms)
+	_, rm, err := Batch{S: rr}.Schedule(0, mixed, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestMasterOverheadGrowsWithFleet(t *testing.T) {
 	// big fleet — the Figure 9 efficiency-degradation mechanism.
 	g := NewGreedy()
 	short := acts(2000, 2.0)
-	_, small, err := g.Schedule(0, short, fleetVMs(t, 8))
+	_, small, err := Batch{S: g}.Schedule(0, short, fleetVMs(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, big, err := g.Schedule(0, short, fleetVMs(t, 128))
+	_, big, err := Batch{S: g}.Schedule(0, short, fleetVMs(t, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestWorkerCap(t *testing.T) {
 	_, vms := makeFleet(t, 2) // leases a 4-core m3.xlarge
 	g := NewGreedy()
 	g.WorkerCap = 2
-	placements, _, err := g.Schedule(0, acts(8, 50), vms)
+	placements, _, err := Batch{S: g}.Schedule(0, acts(8, 50), vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +210,11 @@ func TestWorkerCap(t *testing.T) {
 
 func TestScheduleErrors(t *testing.T) {
 	g := NewGreedy()
-	if _, _, err := g.Schedule(0, acts(1, 1), nil); err == nil {
+	if _, _, err := (Batch{S: g}).Schedule(0, acts(1, 1), nil); err == nil {
 		t.Error("empty fleet accepted")
 	}
 	rr := &RoundRobin{}
-	if _, _, err := rr.Schedule(0, acts(1, 1), nil); err == nil {
+	if _, _, err := (Batch{S: rr}).Schedule(0, acts(1, 1), nil); err == nil {
 		t.Error("empty fleet accepted by round robin")
 	}
 }
@@ -224,8 +224,8 @@ func TestFailuresExtendDuration(t *testing.T) {
 	g := &Greedy{MasterDelayPerVM: 0}
 	with := []Activation{{ID: 1, Tag: "x", Key: "k", Attempts: []float64{30, 30, 100}}}
 	without := []Activation{{ID: 1, Tag: "x", Key: "k", Attempts: []float64{100}}}
-	pw, _, _ := g.Schedule(0, with, vms)
-	po, _, _ := g.Schedule(0, without, vms)
+	pw, _, _ := Batch{S: g}.Schedule(0, with, vms)
+	po, _, _ := Batch{S: g}.Schedule(0, without, vms)
 	if pw[0].End-pw[0].Start <= po[0].End-po[0].Start {
 		t.Error("failed attempts did not extend execution")
 	}

@@ -30,6 +30,14 @@ go test -race ./...
 echo "==> batched-kinematics contract smoke (TorsionsBatch)"
 go test -run 'TorsionsBatch' -count=1 ./internal/chem
 
+# Short fuzz runs over the untrusted edges (AutoGrid .map reader,
+# provenance SQL). A crasher fails the gate and is written under the
+# package's testdata/fuzz, where it becomes a seed-corpus regression
+# case once committed.
+echo "==> fuzz smoke (10 s per target)"
+go test -run '^$' -fuzz FuzzParseMap -fuzztime=10s ./internal/grid
+go test -run '^$' -fuzz FuzzQuery -fuzztime=10s ./internal/prov
+
 echo "==> kernel benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x \
 	./internal/grid ./internal/dock \
@@ -57,9 +65,6 @@ go run ./cmd/dockbench -exp search -quick -benchout ''
 
 echo "==> batched-scoring benchmark smoke, exact cells (dockbench -exp kernels -quick)"
 go run ./cmd/dockbench -exp kernels -quick -benchout ''
-
-echo "==> pipeline runtime benchmark smoke (-benchtime=1x)"
-go test -run '^$' -bench BenchmarkPipelineRuntime -benchtime=1x .
 
 echo "==> provenance store benchmark smoke (-benchtime=1x)"
 go test -run '^$' -bench . -benchtime=1x ./internal/prov
