@@ -83,7 +83,7 @@ func (b *xlBuilder) ring(parent int, pPos, d, v chem.Vec3, hetAt int) (int, chem
 // aniline, a thiol and a zinc-capped phosphate. After preparation it
 // lands at ~120–130 docked atoms, 14 distinct AD4 atom types and ~34
 // rotatable bonds, the regime where the exact radial-table working set
-// overflows L2 and per-window kinematics dominate a naive scorer.
+// overflows L2 and batched kinematics dominate a naive scorer.
 func GenerateLargeLigand() (*chem.Molecule, LigandInfo) {
 	r := rand.New(rand.NewSource(Seed(LargeLigandCode) ^ 0x9e3779))
 	b := &xlBuilder{m: &chem.Molecule{Name: LargeLigandCode}, r: r}
@@ -137,7 +137,7 @@ func GenerateLargeLigand() (*chem.Molecule, LigandInfo) {
 		{2, -1, 2, 1, chem.Chlorine, 0},
 		{4, +1, -1, 2, chem.Oxygen, 1}, // phenol → OA + HD
 		{6, -1, -1, 1, chem.Bromine, 0},
-		{10, +1, 2, 3, chem.Iodine, 0}, // pyridine-rooted terphenyl
+		{10, +1, 2, 3, chem.Iodine, 0},    // pyridine-rooted terphenyl
 		{14, -1, -1, 2, chem.Nitrogen, 2}, // aniline → N + 2 HD
 		{16, +1, -1, 2, chem.Fluorine, 0},
 		{18, -1, -1, 1, chem.Chlorine, 0},
@@ -189,8 +189,8 @@ func GenerateLargeLigand() (*chem.Molecule, LigandInfo) {
 // shell from radius 11 to 18 Å with the usual 60° entry channel. The
 // large ligand (radius ~16 Å plus the sweep's ±5 Å translations)
 // interpenetrates the shell, so peripheral ligand atoms see dense
-// neighbour sets — the gather-heavy regime the window-shared gather
-// targets — while clashed poses exercise the r⁻¹² wall exactly as
+// neighbour sets — the gather-heavy regime of the receptor neighbor
+// gather — while clashed poses exercise the r⁻¹² wall exactly as
 // production screens do.
 func GenerateLargeReceptor() (*chem.Molecule, ReceptorInfo) {
 	info := ReceptorInfo{

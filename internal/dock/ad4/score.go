@@ -22,7 +22,7 @@ const (
 	weightDesolv = 0.1322
 	weightIntra  = 0.1    // internal energy contribution
 	weightTors   = 0.2983 // kcal/mol per rotatable bond
-	intraCutoff  = 8.0    //unit: Å
+	intraCutoff  = 8.0    //unit:Å
 	intraDielec  = 4.0    // constant dielectric for intra Coulomb
 	coulombConst = 332.06 // kcal·Å/(mol·e²)
 )

@@ -26,8 +26,8 @@ import (
 // Safe for concurrent use: the scorer is read-only here, all mutable
 // state lives in the caller-owned batch and out.
 //
-//unit: out=kcal/mol
-//exact: bit-identical to per-pose Score
+//unit:out=kcal/mol
+//exact:bit-identical to per-pose Score
 func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	n := b.Len()
 	if n == 0 {
@@ -45,102 +45,34 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 
 	// Intramolecular terms: pair-major, poses inner, accumulated into
 	// out in table order with the r ≥ 0.5 Å clamp applied in r² space
-	// exactly as the scalar path does. With an active window
-	// (Batch.SetWindow + SetWindowBound) pairs whose anchor separation
-	// exceeds intraCutoff + 2·bound are skipped for the WindowValid
-	// poses — they cannot enter the cutoff, so the skipped iterations
-	// never contributed a term and the accumulation sequence is
-	// unchanged; escaped poses rescore the full pair table in order.
+	// exactly as the scalar path does.
 	for p := range out {
 		out[p] = 0
 	}
 	const cut2 = intraCutoff * intraCutoff
-	anchor, bound, win := b.Window()
-	if win {
-		valid := b.WindowValid()
-		live := s.windowIntraLive(b, anchor, bound)
-		for _, kk := range live {
-			pr := &s.intraTbl[kk]
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			qq := pr.qq
-			for p := 0; p < n; p++ {
-				if !valid[p] {
-					continue
-				}
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				r2 := pi.Dist2(pj)
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				x := tables.Coord2(r2)
-				ix := int(x)
-				tv := va[tables.NNodes-1]
-				if ix < tables.NNodes-1 {
-					v := va[ix]
-					tv = v + (x-float64(ix))*(va[ix+1]-v)
-				}
-				out[p] += tv + qq/r2
-			}
-		}
+	for _, pr := range s.intraTbl {
+		i, j := int(pr.i), int(pr.j)
+		va := pr.nodes
+		qq := pr.qq
 		for p := 0; p < n; p++ {
-			if valid[p] {
+			base := p * stride
+			pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
+			pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
+			r2 := pi.Dist2(pj)
+			if r2 > cut2 {
 				continue
 			}
-			base := p * stride
-			for t := range s.intraTbl {
-				pr := &s.intraTbl[t]
-				i, j := int(pr.i), int(pr.j)
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				r2 := pi.Dist2(pj)
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				va := pr.nodes
-				x := tables.Coord2(r2)
-				ix := int(x)
-				tv := va[tables.NNodes-1]
-				if ix < tables.NNodes-1 {
-					v := va[ix]
-					tv = v + (x-float64(ix))*(va[ix+1]-v)
-				}
-				out[p] += tv + pr.qq/r2
+			if r2 < tables.RMin2 {
+				r2 = tables.RMin2
 			}
-		}
-	} else {
-		for _, pr := range s.intraTbl {
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			qq := pr.qq
-			for p := 0; p < n; p++ {
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				r2 := pi.Dist2(pj)
-				if r2 > cut2 {
-					continue
-				}
-				if r2 < tables.RMin2 {
-					r2 = tables.RMin2
-				}
-				x := tables.Coord2(r2)
-				ix := int(x)
-				tv := va[tables.NNodes-1]
-				if ix < tables.NNodes-1 {
-					v := va[ix]
-					tv = v + (x-float64(ix))*(va[ix+1]-v)
-				}
-				out[p] += tv + qq/r2
+			x := tables.Coord2(r2)
+			ix := int(x)
+			tv := va[tables.NNodes-1]
+			if ix < tables.NNodes-1 {
+				v := va[ix]
+				tv = v + (x-float64(ix))*(va[ix+1]-v)
 			}
+			out[p] += tv + qq/r2
 		}
 	}
 

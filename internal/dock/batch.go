@@ -11,18 +11,18 @@ import (
 // three contiguous component slices (xs/ys/zs) with one ligand-sized
 // stride per pose. Scoring a batch walks the receptor side of the loop
 // nest once — each CSR neighbor span and each radial-table segment is
-// loaded once per batch instead of once per pose — which is where the
-// batched engines get their cache locality (DESIGN.md §4 "Batched
+// loaded once per batch instead of once per pose — which is where
+// batched scoring gets its cache locality (DESIGN.md §4 "Batched
 // scoring and SoA layout").
 //
 // Append only stages the pose parameters; materialization into the
 // component lanes is deferred to the first SoA/At call and runs as one
 // chem.TorsionTree.ApplyTorsionsBatch kernel over the whole appended
-// window, so rigid fragments are reset once per pose instead of a
+// run of poses, so rigid fragments are reset once per pose instead of a
 // per-pose AoS staging copy.
 //
-// A Batch is NOT safe for concurrent use; like Workspace, each search
-// worker owns its own. Appending beyond the high-water mark grows the
+// A Batch is NOT safe for concurrent use; like Workspace, each caller
+// owns its own. Appending beyond the high-water mark grows the
 // storage; once warm, Reset/Append cycles allocate nothing.
 type Batch struct {
 	lig        *Ligand
@@ -34,30 +34,6 @@ type Batch struct {
 	xs, ys, zs []float64
 	acc        []float64 // scorer per-pose accumulator scratch
 	hits       []Hit     // scorer hit gather scratch
-
-	// Incumbent-anchored window state (window.go). Deliberately NOT
-	// cleared by Reset: the search loops refill the batch chunk by chunk
-	// inside one window, and the shared gather must survive the refills.
-	win struct {
-		set    bool
-		stamp  uint64 // bumped by SetWindow/SetWindowBound; keys the caches
-		anchor []chem.Vec3
-		pose   Pose // scratch copy used to materialize the anchor
-		bound  float64
-		bound2 float64
-		validN int // poses for which valid[] is computed
-		valid  []bool
-
-		// Engine-owned caches, valid while owner and stamp both match.
-		gatherOwner any
-		gatherStamp uint64
-		cands       []PackedAtom
-		offs        []int32
-
-		pairOwner any
-		pairStamp uint64
-		pairs     []int32
-	}
 }
 
 // Hit is one in-cutoff candidate of a batched scoring query: its
@@ -97,10 +73,8 @@ func (b *Batch) Len() int { return b.n }
 // index p*Stride()+i of each component slice.
 func (b *Batch) Stride() int { return b.stride }
 
-// Reset empties the batch, keeping its storage. The window (if set)
-// stays active — only the per-pose validity cache is dropped with the
-// poses; use ClearWindow to end a window.
-func (b *Batch) Reset() { b.n, b.mat, b.win.validN = 0, 0, 0 }
+// Reset empties the batch, keeping its storage.
+func (b *Batch) Reset() { b.n, b.mat = 0, 0 }
 
 // SoA returns the three component slices, each Len()*Stride() long,
 // materializing any poses appended since the last call. They alias the

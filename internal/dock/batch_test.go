@@ -200,8 +200,7 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	lig := testLigand(t, "0E6")
 	box := Box{Center: chem.V(0, 0, 0), Size: chem.V(10, 10, 10)}
 	r := rand.New(rand.NewSource(5))
-	ws := NewWorkspace(lig)
-	b := ws.Batch()
+	b := NewBatch(lig, 0)
 	poses := make([]Pose, 50)
 	for i := range poses {
 		poses[i] = RandomPose(r, box, lig.NumTorsions())
@@ -214,7 +213,6 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	_, _, _ = b.SoA()
 	_ = b.Scratch(len(poses))
 	_ = b.Hits(256)
-	_ = ws.Floats(len(poses))
 	allocs := testing.AllocsPerRun(100, func() {
 		b.Reset()
 		for _, p := range poses {
@@ -223,7 +221,6 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 		_, _, _ = b.SoA()
 		_ = b.Scratch(len(poses))
 		_ = b.Hits(256)
-		_ = ws.Floats(len(poses))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state batch loop allocates %.1f/op, want 0", allocs)

@@ -23,7 +23,7 @@ type NeighborList struct {
 
 // NewNeighborList indexes the molecule's atoms with the given cutoff.
 //
-//unit: cutoff=Å
+//unit:cutoff=Å
 func NewNeighborList(m *chem.Molecule, cutoff float64) *NeighborList {
 	pts := m.Positions()
 	min, max := chem.BoundingBox(pts)

@@ -297,7 +297,7 @@ func (pn *PackedNeighbors) Atoms() []PackedAtom { return pn.atoms }
 // no branch mispredictions, and whole cells are dropped early by their
 // prune spheres.
 //
-//unit: cut2=Å2
+//unit:cut2=Å2
 func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
 	nl := pn.nl
 	if p.X < nl.min.X-nl.cutoff || p.X > nl.max.X+nl.cutoff ||
@@ -430,67 +430,6 @@ func (pn *PackedNeighbors) Gather(p chem.Vec3, cut2 float64, hits []Hit) int {
 		}
 	}
 	return m
-}
-
-// GatherShared appends to out a copy of every packed atom within reach
-// of p — the window-shared gather of incumbent-anchored screening. The
-// caller passes reach = cutoff + D where D bounds how far the querying
-// ligand atom can drift from p across the window's poses; by the
-// triangle inequality the appended set is then a superset of every
-// such pose's true in-cutoff neighbor set, so rescoring a pose against
-// it with the exact r² ≤ cutoff² test reproduces the per-pose
-// Gather hit sequence bit for bit (membership AND order: candidates
-// are appended in ascending packed order, the order Gather emits).
-// pruneSlack is added to reach internally, mirroring the prune-sphere
-// slack, so coordinate rounding at the reach surface can never drop a
-// candidate the real-arithmetic argument keeps.
-//
-// Unlike Gather, the reach can exceed one cell edge, so the walk
-// derives its own cell range instead of using the precomputed 27-cell
-// neighborhoods; it runs once per window (not once per pose), so it
-// trades the per-pose branch-free machinery for simplicity. Returns
-// the number of atoms appended.
-//
-//unit: reach=Å
-func (pn *PackedNeighbors) GatherShared(p chem.Vec3, reach float64, out *[]PackedAtom) int {
-	nl := pn.nl
-	r := reach + pruneSlack
-	if p.X < nl.min.X-r || p.X > nl.max.X+r ||
-		p.Y < nl.min.Y-r || p.Y > nl.max.Y+r ||
-		p.Z < nl.min.Z-r || p.Z > nl.max.Z+r {
-		return 0
-	}
-	r2 := r * r
-	lo := nl.cellOf(chem.V(p.X-r, p.Y-r, p.Z-r))
-	hi := nl.cellOf(chem.V(p.X+r, p.Y+r, p.Z+r))
-	for d := 0; d < 3; d++ {
-		if lo[d] < 0 {
-			lo[d] = 0
-		}
-		if hi[d] >= nl.dims[d] {
-			hi[d] = nl.dims[d] - 1
-		}
-	}
-	n0 := len(*out)
-	// Ascending z,y,x — ascending cell index — so appended candidates
-	// stay in ascending packed order.
-	for z := lo[2]; z <= hi[2]; z++ {
-		for y := lo[1]; y <= hi[1]; y++ {
-			row := (z*nl.dims[1] + y) * nl.dims[0]
-			s := pn.aoff[row+lo[0]]
-			e := pn.aoff[row+hi[0]+1]
-			for i := s; i < e; i++ {
-				a := &pn.atoms[i]
-				dx := a.X - p.X
-				dy := a.Y - p.Y
-				dz := a.Z - p.Z
-				if dx*dx+dy*dy+dz*dz <= r2 {
-					*out = append(*out, *a)
-				}
-			}
-		}
-	}
-	return len(*out) - n0
 }
 
 // Entries returns the precomputed neighborhood list of p's base cell:

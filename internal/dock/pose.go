@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/chem"
 )
@@ -59,9 +58,6 @@ type Ligand struct {
 	Tree     *chem.TorsionTree
 	base     []chem.Vec3 // origin-centred input conformation
 	refCoord []chem.Vec3 // reference (input frame) coordinates for RMSD
-
-	arcOnce         sync.Once
-	arcMax, arcMean []float64 // base-conformation torsion arc radii
 }
 
 // NewLigand builds the conformational model. The reference coordinates
@@ -122,28 +118,6 @@ func (l *Ligand) CoordsInto(p Pose, buf []chem.Vec3) []chem.Vec3 {
 	return coords
 }
 
-// ArcRadii returns the ligand's torsion arc radii — per torsion, the
-// largest and the atom-count-averaged distance of its effect-set from
-// the axis — evaluated once at the base conformation and cached. They
-// feed chem.DisplacementBound when a search opens a screening window;
-// the radii drift with conformation, but a window bound built from the
-// base-conformation estimate is safe regardless: poses that outrun it
-// fail Batch.WindowValid and take the exact per-pose gather.
-//
-// Safe for concurrent use; the returned slices are shared and
-// read-only.
-//
-//unit: arcMax=Å arcMean=Å
-func (l *Ligand) ArcRadii() (arcMax, arcMean []float64) {
-	l.arcOnce.Do(func() {
-		nt := l.NumTorsions()
-		l.arcMax = make([]float64, nt)
-		l.arcMean = make([]float64, nt)
-		l.Tree.ArcRadiiInto(l.base, l.arcMax, l.arcMean)
-	})
-	return l.arcMax, l.arcMean
-}
-
 // RandomPose samples a uniform pose inside the box with the given
 // RNG: uniform translation, Shoemake-uniform orientation and uniform
 // torsions.
@@ -190,38 +164,6 @@ func PerturbInto(r *rand.Rand, dst *Pose, src Pose, dt, da float64) {
 	dst.Orientation = chem.AxisAngleQuat(axis, r.NormFloat64()*da).Mul(dst.Orientation).Normalize()
 	for i := range dst.Torsions {
 		dst.Torsions[i] = wrapAngle(dst.Torsions[i] + r.NormFloat64()*da)
-	}
-}
-
-// PerturbDrawCount returns how many NormFloat64 draws one perturbation
-// of a pose with nTorsions rotatable bonds consumes: three for the
-// translation, four for the orientation (axis + angle), one per
-// torsion.
-func PerturbDrawCount(nTorsions int) int { return 7 + nTorsions }
-
-// PerturbDraws fills raw with NormFloat64 draws in exactly the order
-// PerturbInto consumes them. Splitting the draw from the application
-// lets a speculative search window pre-draw several perturbations'
-// randomness up front and still rebuild any individual candidate later
-// — PerturbApplyRaw over the stored draws is bit-identical to the
-// PerturbInto call those draws would have fed.
-func PerturbDraws(r *rand.Rand, raw []float64) {
-	for i := range raw {
-		raw[i] = r.NormFloat64()
-	}
-}
-
-// PerturbApplyRaw is PerturbInto with the randomness supplied up front:
-// raw must hold PerturbDrawCount(len(src.Torsions)) values in
-// PerturbDraws order. The arithmetic composes the draws exactly as
-// PerturbInto does, so the resulting pose is bit-identical.
-func PerturbApplyRaw(raw []float64, dst *Pose, src Pose, dt, da float64) {
-	dst.Set(src)
-	dst.Translation = dst.Translation.Add(chem.V(raw[0]*dt, raw[1]*dt, raw[2]*dt))
-	axis := chem.V(raw[3], raw[4], raw[5])
-	dst.Orientation = chem.AxisAngleQuat(axis, raw[6]*da).Mul(dst.Orientation).Normalize()
-	for i := range dst.Torsions {
-		dst.Torsions[i] = wrapAngle(dst.Torsions[i] + raw[7+i]*da)
 	}
 }
 

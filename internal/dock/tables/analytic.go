@@ -32,7 +32,7 @@ const (
 // a 12-6 Lennard-Jones for ordinary pairs and a directional-averaged
 // 12-10 well for hydrogen-bonding pairs.
 //
-//unit: r=Å result=kcal/mol
+//unit:r=Å result=kcal/mol
 func PairEnergy(probe, rec chem.TypeParams, r float64) float64 {
 	rij := (probe.Rii + rec.Rii) / 2
 	eps := math.Sqrt(probe.Epsii * rec.Epsii)
@@ -62,7 +62,7 @@ func PairEnergy(probe, rec chem.TypeParams, r float64) float64 {
 //	window left of rmin    → E(r + smooth/2)
 //	window right of rmin   → E(r - smooth/2)
 //
-//unit: r=Å smooth=Å result=kcal/mol
+//unit:r=Å smooth=Å result=kcal/mol
 func PairEnergySmoothed(probe, rec chem.TypeParams, r, smooth float64) float64 {
 	if smooth <= 0 {
 		return PairEnergy(probe, rec, r)
@@ -89,7 +89,7 @@ func PairEnergySmoothed(probe, rec chem.TypeParams, r, smooth float64) float64 {
 // with A = −8.5525, B = ε₀ − A = 86.9525, k = 7.7839 and
 // λ = 0.003627. ε rises from ~1 at contact toward bulk water's ~78.
 //
-//unit: r=Å result=dimensionless
+//unit:r=Å result=dimensionless
 func Dielectric(r float64) float64 {
 	const (
 		a      = -8.5525
@@ -109,7 +109,7 @@ func Dielectric(r float64) float64 {
 // dielectric. Multiply by the receptor charge (and the probe charge,
 // when not unit) to get the energy.
 //
-//unit: r=Å
+//unit:r=Å
 func ElecScale(r float64) float64 {
 	return Coulomb / (Dielectric(r) * r)
 }
@@ -118,7 +118,7 @@ func ElecScale(r float64) float64 {
 // term, including the 0.1 calibration factor; multiply by
 // DesolvCoeff of the receptor atom.
 //
-//unit: r=Å
+//unit:r=Å
 func DesolvWeight(r float64) float64 {
 	return 0.1 * math.Exp(-r*r/(2*DesolvSigma*DesolvSigma))
 }
@@ -133,7 +133,7 @@ func DesolvCoeff(p chem.TypeParams, charge float64) float64 {
 // distance d = r − R_i − R_j: two gaussians, a quadratic repulsion,
 // and the hydrophobic and H-bond ramps.
 //
-//unit: r=Å result=kcal/mol
+//unit:r=Å result=kcal/mol
 func VinaPair(a, b chem.TypeParams, r float64) float64 {
 	d := r - (a.Rii/2 + b.Rii/2)
 	e := VinaWGauss1 * gauss(d, 0, 0.5)

@@ -34,11 +34,11 @@ import "math"
 const (
 	// Cutoff is the non-bonded interaction cutoff in Å shared by
 	// AutoGrid map generation and both scoring functions.
-	//unit: Å
+	//unit:Å
 	Cutoff = 8.0
 	// SplitR2 is the r² boundary (Ų) between the fine core segment
 	// and the coarse tail segment.
-	//unit: Å2
+	//unit:Å2
 	SplitR2 = 16.0
 	// BinsCore is the number of r² bins covering [0, SplitR2):
 	// Δr² = 2⁻¹⁰ Ų, fine enough for the r≈RMin repulsive core.
@@ -48,17 +48,17 @@ const (
 	BinsTail = 1 << 12
 	// RMin is AutoGrid's minimum interaction distance: pair terms are
 	// evaluated at max(r, RMin), capping the singular repulsive core.
-	//unit: Å
+	//unit:Å
 	RMin = 0.5
 	// RMin2 is RMin² for callers that clamp in r² space.
-	//unit: Å2
+	//unit:Å2
 	RMin2 = RMin * RMin
 
 	// NNodes is the total node count of every Radial: BinsCore core
 	// nodes plus BinsTail+1 tail nodes (the boundary node is shared).
 	NNodes = BinsCore + BinsTail + 1
 
-	invCore = BinsCore / SplitR2                  // core bins per Ų
+	invCore = BinsCore / SplitR2                   // core bins per Ų
 	invTail = BinsTail / (Cutoff*Cutoff - SplitR2) // tail bins per Ų
 )
 
@@ -95,7 +95,7 @@ func NewRadial(f func(r float64) float64) *Radial {
 
 // At2 returns the interpolated value at squared distance r2 ≥ 0.
 //
-//unit: r2=Å2
+//unit:r2=Å2
 func (t *Radial) At2(r2 float64) float64 {
 	x := r2 * invCore
 	if r2 >= SplitR2 {
@@ -117,7 +117,7 @@ func (t *Radial) At2(r2 float64) float64 {
 // with no branch mispredictions. The selected value is bit-identical
 // to At2's internal coordinate.
 //
-//unit: r2=Å2
+//unit:r2=Å2
 func Coord2(r2 float64) float64 {
 	xc := r2 * invCore
 	xt := BinsCore + (r2-SplitR2)*invTail

@@ -35,17 +35,17 @@ type Scorer struct {
 	Receptor *chem.Molecule
 	Lig      *dock.Ligand
 
-	nl        *dock.NeighborList
-	packed    *dock.PackedNeighbors // heavy receptor atoms in span order, for ScoreBatch
-	recTypes  []chem.TypeParams
-	ligTypes  []chem.TypeParams
-	ligIsH    []bool
-	recTblIdx  []int32            // per receptor atom: column into interTbl rows, -1 for hydrogens
-	interTbl   [][]*tables.Radial // [ligand atom][receptor type index]; nil rows for ligand hydrogens
+	nl         *dock.NeighborList
+	packed     *dock.PackedNeighbors // heavy receptor atoms in span order, for ScoreBatch
+	recTypes   []chem.TypeParams
+	ligTypes   []chem.TypeParams
+	ligIsH     []bool
+	recTblIdx  []int32                     // per receptor atom: column into interTbl rows, -1 for hydrogens
+	interTbl   [][]*tables.Radial          // [ligand atom][receptor type index]; nil rows for ligand hydrogens
 	interNodes [][]*[tables.NNodes]float64 // interTbl rows as node arrays, for ScoreBatch
-	intraTbl   []intraPair        // heavy-atom 1-4+ pairs with their tables
-	rotFactor float64
-	intraRef  float64 // internal energy of the input conformation
+	intraTbl   []intraPair                 // heavy-atom 1-4+ pairs with their tables
+	rotFactor  float64
+	intraRef   float64 // internal energy of the input conformation
 }
 
 // intraPair is one precomputed intramolecular interaction: the atom
@@ -274,7 +274,7 @@ func (s *Scorer) intraEnergyAnalytic(coords []chem.Vec3) float64 {
 // d = r − R_i − R_j; the analytic form lives in internal/dock/tables
 // (the single source both this package and the table builder share).
 //
-//unit: r=Å result=kcal/mol
+//unit:r=Å result=kcal/mol
 func pairTerm(a, b chem.TypeParams, r float64) float64 {
 	return tables.VinaPair(a, b, r)
 }

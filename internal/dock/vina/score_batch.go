@@ -24,24 +24,11 @@ import (
 // candidates beyond the cutoff — then evaluate the radial tables over
 // the compact hit list, adding terms in exactly the sequential order.
 //
-// When the batch carries an active window (Batch.SetWindow +
-// SetWindowBound), the receptor gather is shared: the candidate CSR is
-// gathered once per ligand atom at the window anchor with the cutoff
-// inflated by the bound, and every pose that WindowValid admits filters
-// that span with dock.FilterSpan instead of running its own cell walk —
-// same hit sequence, same accumulation, bit-identical result (the
-// superset argument is on the ACTUAL pose coordinates, so it holds no
-// matter how the bound was estimated). Poses that escape the bound,
-// and all intramolecular terms of such poses, take the per-pose path
-// unchanged. Intramolecular pairs whose anchor separation exceeds
-// cutoff + 2·bound are skipped for the valid poses — they cannot enter
-// the cutoff, so the skipped iterations never contributed a term.
-//
 // Safe for concurrent use: the scorer is read-only here, all mutable
 // state lives in the caller-owned batch and out.
 //
-//unit: out=kcal/mol
-//exact: bit-identical to per-pose Score
+//unit:out=kcal/mol
+//exact:bit-identical to per-pose Score
 func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	n := b.Len()
 	if n == 0 {
@@ -54,32 +41,14 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	hits := b.Hits(len(s.packed.Atoms()))
 	const cut2 = cutoff * cutoff
 
-	anchor, bound, win := b.Window()
-	var valid []bool
-	var cands []dock.PackedAtom
-	var coffs []int32
-	if win {
-		valid = b.WindowValid()
-		cands, coffs = s.windowGather(b, anchor, bound)
-	}
-
 	for i := 0; i < stride; i++ {
 		if s.ligIsH[i] {
 			continue
 		}
 		row := s.interNodes[i]
-		var span []dock.PackedAtom
-		if win {
-			span = cands[coffs[i]:coffs[i+1]]
-		}
 		for p := 0; p < n; p++ {
 			a := p*stride + i
-			var m int
-			if win && valid[p] {
-				m = dock.FilterSpan(span, xs[a], ys[a], zs[a], cut2, hits)
-			} else {
-				m = s.packed.Gather(chem.V(xs[a], ys[a], zs[a]), cut2, hits)
-			}
+			m := s.packed.Gather(chem.V(xs[a], ys[a], zs[a]), cut2, hits)
 			acc := inter[p]
 			for k := 0; k < m; k++ {
 				h := &hits[k]
@@ -102,76 +71,22 @@ func (s *Scorer) ScoreBatch(b *dock.Batch, out []float64) {
 	for p := range out {
 		out[p] = 0
 	}
-	if win {
-		live := s.windowIntraLive(b, anchor, bound)
-		for _, kk := range live {
-			pr := &s.intraTbl[kk]
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			for p := 0; p < n; p++ {
-				if !valid[p] {
+	for _, pr := range s.intraTbl {
+		i, j := int(pr.i), int(pr.j)
+		va := pr.nodes
+		for p := 0; p < n; p++ {
+			base := p * stride
+			pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
+			pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
+			if r2 := pi.Dist2(pj); r2 <= cut2 {
+				x := tables.Coord2(r2)
+				ix := int(x)
+				if ix >= tables.NNodes-1 {
+					out[p] += va[tables.NNodes-1]
 					continue
 				}
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
-			}
-		}
-		// Escaped poses rescore every pair in table order — the same
-		// per-pose sequence as the windowless path (per-pose
-		// accumulators are independent, so pose-major order here cannot
-		// mix lanes).
-		for p := 0; p < n; p++ {
-			if valid[p] {
-				continue
-			}
-			base := p * stride
-			for t := range s.intraTbl {
-				pr := &s.intraTbl[t]
-				i, j := int(pr.i), int(pr.j)
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					va := pr.nodes
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
-			}
-		}
-	} else {
-		for _, pr := range s.intraTbl {
-			i, j := int(pr.i), int(pr.j)
-			va := pr.nodes
-			for p := 0; p < n; p++ {
-				base := p * stride
-				pi := chem.V(xs[base+i], ys[base+i], zs[base+i])
-				pj := chem.V(xs[base+j], ys[base+j], zs[base+j])
-				if r2 := pi.Dist2(pj); r2 <= cut2 {
-					x := tables.Coord2(r2)
-					ix := int(x)
-					if ix >= tables.NNodes-1 {
-						out[p] += va[tables.NNodes-1]
-						continue
-					}
-					v := va[ix]
-					out[p] += v + (x-float64(ix))*(va[ix+1]-v)
-				}
+				v := va[ix]
+				out[p] += v + (x-float64(ix))*(va[ix+1]-v)
 			}
 		}
 	}

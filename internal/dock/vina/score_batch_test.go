@@ -23,14 +23,14 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := dock.NewWorkspace(lig)
+		b := dock.NewBatch(lig, 0)
 		for _, bs := range batchSizes {
 			poses := randomPoses(lig, bs, int64(100+bs))
-			b := ws.Batch()
 			b.Reset()
 			for _, p := range poses {
 				b.Append(p)
 			}
-			out := ws.Floats(bs)
+			out := make([]float64, bs)
 			s.ScoreBatch(b, out)
 			for k, p := range poses {
 				want := s.Score(ws.Coords(p))
@@ -52,10 +52,9 @@ func TestScoreBatchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, 50, 7)
-	b := ws.Batch()
-	out := ws.Floats(len(poses))
+	b := dock.NewBatch(lig, len(poses))
+	out := make([]float64, len(poses))
 	run := func() {
 		b.Reset()
 		for _, p := range poses {
@@ -89,9 +88,8 @@ func TestScoreBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := dock.NewWorkspace(lig)
-			b := ws.Batch()
-			out := ws.Floats(len(poses))
+			b := dock.NewBatch(lig, len(poses))
+			out := make([]float64, len(poses))
 			for iter := 0; iter < 20; iter++ {
 				b.Reset()
 				for _, p := range poses {
@@ -116,14 +114,12 @@ func benchScoreBatch(b *testing.B, batch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := dock.NewWorkspace(lig)
 	poses := randomPoses(lig, batch, 3)
-	bt := ws.Batch()
-	bt.Reset()
+	bt := dock.NewBatch(lig, batch)
 	for _, p := range poses {
 		bt.Append(p)
 	}
-	out := ws.Floats(batch)
+	out := make([]float64, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

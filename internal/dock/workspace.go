@@ -17,8 +17,6 @@ type Workspace struct {
 	lig    *Ligand
 	coords []chem.Vec3
 	free   []*Pose
-	batch  *Batch
-	floats []float64
 }
 
 // NewWorkspace builds a workspace sized for the ligand's atom and
@@ -55,25 +53,3 @@ func (w *Workspace) Get() *Pose {
 
 // Put returns a scratch pose to the free list.
 func (w *Workspace) Put(p *Pose) { w.free = append(w.free, p) }
-
-// Batch returns the workspace's SoA scoring batch, built lazily and
-// reused across calls. Like the workspace itself it is single-owner
-// scratch: the batched search loops fill it from free-list poses,
-// score it in one ScoreBatch call, and Reset it for the next window.
-func (w *Workspace) Batch() *Batch {
-	if w.batch == nil {
-		w.batch = NewBatch(w.lig, 16)
-	}
-	return w.batch
-}
-
-// Floats returns a reusable float64 scratch slice of length n (not
-// zeroed) — the per-worker result buffer the batched search loops pass
-// to ScoreBatch. It is distinct storage from Batch.Scratch, so the two
-// never alias.
-func (w *Workspace) Floats(n int) []float64 {
-	if cap(w.floats) < n {
-		w.floats = make([]float64, n)
-	}
-	return w.floats[:n]
-}

@@ -72,8 +72,6 @@ func TestKernelsQuick(t *testing.T) {
 		return []string{
 			prefix + "_score_per_pose", prefix + "_score_batch1", prefix + "_score_batch8",
 			prefix + "_score_batch16", prefix + "_score_batch50", prefix + "_score_batch150",
-			prefix + "_score_per_pose_winpop",
-			prefix + "_score_batch50_winpop", prefix + "_score_batch50_window",
 		}
 	}
 	want := []string{
@@ -117,10 +115,6 @@ func TestKernelsQuick(t *testing.T) {
 				t.Errorf("%s: median ns/pose %v below min-round ns/pose %v",
 					b.Name, b.MedianNsPerPose, b.NsPerPose)
 			}
-			if strings.HasSuffix(b.Name, "_window") != (b.SpeedupVsBatch > 0) {
-				t.Errorf("%s: speedup_vs_batch %v does not match window naming",
-					b.Name, b.SpeedupVsBatch)
-			}
 		case strings.Contains(b.Name, "per_pose"):
 			if b.NsPerPose <= 0 || b.BatchSize != 0 || b.SpeedupVsPerPose != 0 {
 				t.Errorf("%s: bad per-pose baseline %+v", b.Name, b)
@@ -157,7 +151,7 @@ func TestKernelsQuick(t *testing.T) {
 	}
 	for _, key := range []string{"ns_per_op", "allocs_per_op", "speedup_vs_analytic",
 		"gomaxprocs", "batch_size", "ns_per_pose", "speedup_vs_per_pose", "note",
-		"median_ns_per_pose", "speedup_vs_batch", "workloads", "vina_exact_table_bytes",
+		"median_ns_per_pose", "workloads", "vina_exact_table_bytes",
 		"ad4_exact_table_bytes", "ad4_type_count"} {
 		if !strings.Contains(string(js), key) {
 			t.Errorf("JSON missing %q", key)

@@ -4,8 +4,7 @@
 // path it replaced. Two workloads are measured side by side: the
 // reference pair (2HHN/0E6), whose exact radial tables fit in L2, and
 // the L2-overflow pair (9XLR/XL1) — a 123-atom, 14-type, 35-torsion
-// ligand whose exact working set spills the core-private caches, the
-// regime the incumbent-anchored window gather was built for.
+// ligand whose exact working set spills the core-private caches.
 // cmd/dockbench serializes the report to BENCH_kernels.json so perf
 // regressions are diffable across commits.
 package experiments
@@ -51,11 +50,6 @@ type KernelBench struct {
 	NsPerPose        float64 `json:"ns_per_pose,omitempty"`
 	MedianNsPerPose  float64 `json:"median_ns_per_pose,omitempty"`
 	SpeedupVsPerPose float64 `json:"speedup_vs_per_pose,omitempty"`
-	// Window cells only (incumbent-anchored shared gather): ns_per_pose
-	// of the matching plain batch cell (same batch size, same poses)
-	// divided by this cell's — the win from
-	// gathering once per window instead of once per pose.
-	SpeedupVsBatch float64 `json:"speedup_vs_batch,omitempty"`
 	// RelStdDev is the relative standard deviation of the per-round
 	// wall times of a sweep cell — the noise floor against which its
 	// speedup ratios should be read.
@@ -111,14 +105,14 @@ func (r *KernelReport) String() string {
 			w.Name+":", w.Receptor, w.ReceptorAtoms, w.Ligand, w.LigandAtoms, w.AD4TypeCount, w.Torsions,
 			float64(w.VinaExactTableBytes)/1024, float64(w.AD4ExactTableBytes)/1024)
 	}
-	fmt.Fprintf(&sb, "%-34s %-9s %14s %10s %8s %12s %12s %9s %8s %8s\n",
-		"kernel", "workload", "ns/op", "allocs/op", "speedup", "ns/pose", "med/pose", "vs 1-pose", "vs batch", "±rsd")
+	fmt.Fprintf(&sb, "%-34s %-9s %14s %10s %8s %12s %12s %9s %8s\n",
+		"kernel", "workload", "ns/op", "allocs/op", "speedup", "ns/pose", "med/pose", "vs 1-pose", "±rsd")
 	for _, b := range r.Benchmarks {
 		sp := ""
 		if b.Speedup > 0 {
 			sp = fmt.Sprintf("%.2fx", b.Speedup)
 		}
-		np, md, vp, vb := "", "", "", ""
+		np, md, vp := "", "", ""
 		if b.NsPerPose > 0 {
 			np = fmt.Sprintf("%.0f", b.NsPerPose)
 		}
@@ -128,15 +122,12 @@ func (r *KernelReport) String() string {
 		if b.SpeedupVsPerPose > 0 {
 			vp = fmt.Sprintf("%.2fx", b.SpeedupVsPerPose)
 		}
-		if b.SpeedupVsBatch > 0 {
-			vb = fmt.Sprintf("%.2fx", b.SpeedupVsBatch)
-		}
 		rsd := ""
 		if b.RelStdDev > 0 {
 			rsd = fmt.Sprintf("%.1f%%", b.RelStdDev*100)
 		}
-		fmt.Fprintf(&sb, "%-34s %-9s %14.0f %10.1f %8s %12s %12s %9s %8s %8s\n",
-			b.Name, b.Workload, b.NsPerOp, b.AllocsPerOp, sp, np, md, vp, vb, rsd)
+		fmt.Fprintf(&sb, "%-34s %-9s %14.0f %10.1f %8s %12s %12s %9s %8s\n",
+			b.Name, b.Workload, b.NsPerOp, b.AllocsPerOp, sp, np, md, vp, rsd)
 	}
 	return sb.String()
 }
@@ -187,12 +178,12 @@ func kernelPoseSet(lig *dock.Ligand, n int, seed int64) []dock.Pose {
 }
 
 // kernelScreenWindows builds the batch sweep's pose population shaped
-// like the windows the batched kernels actually score: the search
-// loops flush MaxBatch-sized runs of Solis-Wets candidates — small
-// perturbations of one incumbent (lga.go: rho·0.5 Å translation,
-// rho·0.15 rad angles, rho annealed from 1 toward 0.01) — so the
-// population is consecutive `window`-pose clusters, each a fresh
-// random incumbent followed by candidates at a decaying rho schedule.
+// like the candidates a local search scores: runs of Solis-Wets
+// candidates are small perturbations of one incumbent (lga.go:
+// rho·0.5 Å translation, rho·0.15 rad angles, rho annealed from 1
+// toward 0.01), so the population is consecutive `window`-pose
+// clusters, each a fresh random incumbent followed by candidates at a
+// decaying rho schedule.
 // The spatial correlation inside a window is part of the workload the
 // scorers' table and lattice caches see in production; a uniform-wild
 // population is the cold-start case, not the steady state.
@@ -214,67 +205,6 @@ func kernelScreenWindows(lig *dock.Ligand, n, window int, seed int64) []dock.Pos
 		}
 	}
 	return poses
-}
-
-// kernelSteadyWindows builds the window-cell population: consecutive
-// `window`-pose clusters, each one random incumbent plus candidates
-// perturbed at one FIXED rho — the steady-state shape of the windowed
-// Solis-Wets refinement, which spends almost all its iterations at
-// small annealed rho (rho halves after every 4 rejections, so the
-// rho≈1 opening lasts single-digit iterations out of hundreds). The
-// decaying-rho population above mixes the wild opening into every
-// cluster and so carries multi-Å displacement bounds; this one pins
-// the bound to the regime the incumbent-anchored gather actually
-// serves, and its cells carry their own per-pose and plain-batch
-// baselines over the same poses so the window ratios are
-// like-for-like.
-func kernelSteadyWindows(lig *dock.Ligand, n, window int, rho float64, seed int64) []dock.Pose {
-	r := rand.New(rand.NewSource(seed))
-	wild := kernelPoseSet(lig, (n+window-1)/window, seed+1)
-	poses := make([]dock.Pose, 0, n)
-	for _, inc := range wild {
-		if len(poses) >= n {
-			break
-		}
-		poses = append(poses, inc)
-		for k := 1; k < window && len(poses) < n; k++ {
-			cand := dock.Pose{Torsions: make([]float64, lig.NumTorsions())}
-			dock.PerturbInto(r, &cand, inc, rho*0.5, rho*0.15)
-			poses = append(poses, cand)
-		}
-	}
-	return poses
-}
-
-// kernelWindowBounds computes, for each `window`-pose cluster of the
-// population, the actual max atom displacement of any cluster pose
-// from the cluster's incumbent (its first pose) — the displacement
-// bound handed to Batch.SetWindowBound by the window cells. Using the
-// measured displacement (plus ε for float slack) rather than a
-// parametric bound means every pose passes the batch's WindowValid
-// audit by construction, so the cells time the shared-gather fast
-// path itself; the per-pose fallback is exercised by the engines'
-// bound-violation tests, not here.
-func kernelWindowBounds(lig *dock.Ligand, poses []dock.Pose, window int) []float64 {
-	bounds := make([]float64, 0, (len(poses)+window-1)/window)
-	for base := 0; base < len(poses); base += window {
-		end := base + window
-		if end > len(poses) {
-			end = len(poses)
-		}
-		anchor := lig.Coords(poses[base])
-		d2max := 0.0
-		for i := base + 1; i < end; i++ {
-			c := lig.Coords(poses[i])
-			for k := range c {
-				if d2 := c[k].Dist2(anchor[k]); d2 > d2max {
-					d2max = d2
-				}
-			}
-		}
-		bounds = append(bounds, math.Sqrt(d2max)+1e-9)
-	}
-	return bounds
 }
 
 // kernelPoses is kernelPoseSet materialized to coordinates, for the
@@ -474,39 +404,28 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 	// Batched-scoring sweep: one fixed production-shaped population per
 	// engine per workload — Solis-Wets screen windows, see
 	// kernelScreenWindows — scored per pose (Workspace materialization
-	// included, as a search loop pays it), in ScoreBatch chunks, and
-	// (at the window-aligned batch size) through the incumbent-anchored
-	// shared gather. The cells are interleaved round-robin so frequency
-	// drift hits every cell alike; ns_per_pose and the batch-vs-per-pose
-	// ratio are the signal. Every cell produces bit-identical energies
-	// (pinned by the engines' 0-ULP batch tests, which also cover the
-	// window cells). Each cell also carries the relative stddev and
-	// median of its per-round wall times — the noise floor for reading
-	// the ratios.
+	// included, as a search loop pays it) and in ScoreBatch chunks. The
+	// cells are interleaved round-robin so frequency drift hits every
+	// cell alike; ns_per_pose and the batch-vs-per-pose ratio are the
+	// signal. Every cell produces bit-identical energies (pinned by the
+	// engines' 0-ULP batch tests). Each cell also carries the relative
+	// stddev and median of its per-round wall times — the noise floor
+	// for reading the ratios.
 	const windowSize = 50
-	// steadyRho is the fixed perturbation scale of the window-cell
-	// population: deep enough into the Solis-Wets anneal that cluster
-	// displacement bounds sit at ~1 Å (reference) to ~2 Å (large), the
-	// regime the shared gather's inflated cutoff stays profitable in.
-	const steadyRho = 0.15
 	sweep := func(wl *kernelWorkload, prefix string, score func([]chem.Vec3) float64,
 		scoreBatch func(*dock.Batch, []float64)) {
 		lig := wl.lig
 		batchPoses := kernelScreenWindows(lig, wl.nPop, windowSize, 7)
-		winPoses := kernelSteadyWindows(lig, wl.nPop, windowSize, steadyRho, 13)
-		winBounds := kernelWindowBounds(lig, winPoses, windowSize)
 		batchSizes := []int{1, 8, 16, windowSize, 150}
 		ws := dock.NewWorkspace(lig)
 		type cell struct {
-			name     string
-			bs       int
-			baseline int // index of this cell's per-pose baseline cell
-			vsBatch  int // window cells: index of the matching plain cell; else -1
-			run      func()
+			name string
+			bs   int
+			run  func()
 		}
 		sink := 0.0
 		perPoseCell := func(name string, poses []dock.Pose) cell {
-			return cell{name, 0, 0, -1, func() {
+			return cell{name, 0, func() {
 				for _, p := range poses {
 					sink += score(ws.Coords(p))
 				}
@@ -515,7 +434,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		batchCell := func(name string, poses []dock.Pose, bs int) cell {
 			b := dock.NewBatch(lig, bs)
 			out := make([]float64, bs)
-			return cell{name, bs, 0, -1, func() {
+			return cell{name, bs, func() {
 				for base := 0; base < len(poses); base += bs {
 					end := base + bs
 					if end > len(poses) {
@@ -532,47 +451,10 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 				}
 			}}
 		}
-		// Window cells: same poses and flush size as the _winpop plain
-		// batch cells, but each cluster is scored through one
-		// incumbent-anchored gather (anchor = the cluster's first pose,
-		// bound = the cluster's measured max displacement), the shape
-		// the windowed Solis-Wets and batched-probe search loops feed.
-		windowCell := func(name string) cell {
-			b := dock.NewBatch(lig, windowSize)
-			out := make([]float64, windowSize)
-			return cell{name, windowSize, 0, -1, func() {
-				for base := 0; base < len(winPoses); base += windowSize {
-					end := base + windowSize
-					if end > len(winPoses) {
-						end = len(winPoses)
-					}
-					b.SetWindow(winPoses[base])
-					b.SetWindowBound(winBounds[base/windowSize])
-					b.Reset()
-					for i := base; i < end; i++ {
-						b.Append(winPoses[i])
-					}
-					scoreBatch(b, out[:end-base])
-					for k := 0; k < end-base; k++ {
-						sink += out[k]
-					}
-				}
-				b.ClearWindow()
-			}}
-		}
 		cells := []cell{perPoseCell(prefix+"_score_per_pose", batchPoses)}
 		for _, bs := range batchSizes {
 			cells = append(cells, batchCell(fmt.Sprintf("%s_score_batch%d", prefix, bs), batchPoses, bs))
 		}
-		winBase := len(cells)
-		cells = append(cells,
-			perPoseCell(prefix+"_score_per_pose_winpop", winPoses),
-			batchCell(fmt.Sprintf("%s_score_batch%d_winpop", prefix, windowSize), winPoses, windowSize),
-			windowCell(fmt.Sprintf("%s_score_batch%d_window", prefix, windowSize)))
-		for ci := winBase; ci < len(cells); ci++ {
-			cells[ci].baseline = winBase
-		}
-		cells[winBase+2].vsBatch = winBase + 1
 		for _, c := range cells {
 			c.run() // warm up: fault in tables and batch buffers
 		}
@@ -628,10 +510,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 			}
 			if c.bs > 0 {
 				kb.BatchSize = c.bs
-				kb.SpeedupVsPerPose = minNs[c.baseline] / minNs[ci]
-			}
-			if c.vsBatch >= 0 {
-				kb.SpeedupVsBatch = minNs[c.vsBatch] / minNs[ci]
+				kb.SpeedupVsPerPose = minNs[0] / minNs[ci]
 			}
 			rep.Benchmarks = append(rep.Benchmarks, kb)
 		}
@@ -645,7 +524,7 @@ func (s *Suite) Kernels() (*KernelReport, error) {
 		sweep(wl, prefix+"vina", wl.vs.Score, wl.vs.ScoreBatch)
 		sweep(wl, prefix+"ad4", wl.as.Score, wl.as.ScoreBatch)
 	}
-	rep.Note = "absolute ns and run-to-run ratios carry ±20% frequency noise — the interleaved batch-sweep cells share one fixed population per workload, so only their within-report ratios are meaningful; each sweep cell reports its fastest round (noise only slows a round down) with median_ns_per_pose and rel_stddev as the observed per-round noise; the *_winpop and *_window cells share a second population of fixed-rho steady-state Solis-Wets windows (see kernelSteadyWindows) with their own per-pose baseline, the *_window cell scoring each 50-pose cluster through one incumbent-anchored gather (speedup_vs_batch is that win over the plain batch cell on the same poses); workload 'large' is the L2-overflow pair — its exact radial-table working set exceeds typical per-core L2, the regime the window gather targets"
+	rep.Note = "absolute ns and run-to-run ratios carry ±20% frequency noise — the interleaved batch-sweep cells share one fixed population per workload, so only their within-report ratios are meaningful; each sweep cell reports its fastest round (noise only slows a round down) with median_ns_per_pose and rel_stddev as the observed per-round noise; workload 'large' is the L2-overflow pair — its exact radial-table working set exceeds typical per-core L2"
 	return rep, nil
 }
 

@@ -21,7 +21,7 @@ type cellList struct {
 	atoms    []chem.Vec3
 }
 
-//unit: cutoff=Å
+//unit:cutoff=Å
 func buildCellList(m *chem.Molecule, cutoff float64) *cellList {
 	pts := m.Positions()
 	min, max := chem.BoundingBox(pts)

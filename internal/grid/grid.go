@@ -91,6 +91,7 @@ type Maps struct {
 	elec     []float64
 	desolv   []float64
 }
+
 // Types returns the atom types with affinity maps in sorted order, so
 // everything downstream of the map keys — the .fld index WriteFLD
 // emits, the per-type map files scidock writes — is byte-identical

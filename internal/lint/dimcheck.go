@@ -21,8 +21,15 @@ import (
 // cutoff constants), and //unit: annotations collected from every
 // loaded package's declarations:
 //
-//	//unit: r=Å result=kcal/mol     (function doc: params by name)
-//	//unit: Å2                      (var/const decl: one unit for all)
+//	//unit:r=Å result=kcal/mol      (function doc: params by name)
+//	//unit:Å2                       (var/const decl: one unit for all)
+//
+// Write annotations in that directive form, with no space after the
+// colon, on their own line at the end of the doc comment: gofmt keeps
+// a top-level `//unit:r=Å` line verbatim as a directive, whereas it
+// rewrites the prose form `//unit: r=Å` to `// unit: r=Å`. The parser
+// accepts both spellings, but only the directive form survives gofmt
+// unchanged.
 //
 // Accepted unit spellings: Å/A/angstrom, Å2/Å²/A2, kcal/mol, e/charge,
 // 1/none/dimensionless. Within each function a forward dataflow over
@@ -113,8 +120,8 @@ func builtinDimSeeds() *dimSeeds {
 	const chem = "repro/internal/chem"
 	return &dimSeeds{
 		funcs: map[string]*dimSig{
-			tables + ".Radial.At2":       {params: map[string]unit{"r2": uAngstrom2}},
-			tables + ".PairEnergy":       {params: map[string]unit{"r": uAngstrom}, result: uEnergy},
+			tables + ".Radial.At2": {params: map[string]unit{"r2": uAngstrom2}},
+			tables + ".PairEnergy": {params: map[string]unit{"r": uAngstrom}, result: uEnergy},
 			tables + ".PairEnergySmoothed": {
 				params: map[string]unit{"r": uAngstrom, "smooth": uAngstrom}, result: uEnergy},
 			tables + ".Dielectric": {params: map[string]unit{"r": uAngstrom}, result: uScalar},

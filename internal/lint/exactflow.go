@@ -21,6 +21,16 @@ import (
 //   - binary arithmetic (+ - * /) on float32 operands;
 //   - compound assignments (+= -= *= /=) to float32 operands.
 //
+// Write the directive in Go's directive form, with no space after the
+// colon and on its own line at the end of the doc comment:
+//
+//	//exact:bit-identical to per-pose Score
+//
+// gofmt keeps a directive line verbatim, but it rewrites the prose form
+// `//exact: …` to `// exact: …`, which this analyzer does not match —
+// so a spaced annotation would silently stop being checked after the
+// next gofmt run.
+//
 // Widening float64(x32) is exempt — reading a float32 source and
 // widening it before any arithmetic is how an exact path may consume
 // such storage. Declaring or passing float32 values is likewise fine;
@@ -36,7 +46,8 @@ var ExactFlow = &Analyzer{
 }
 
 // exactDirective reports whether the function's doc comment carries
-// an //exact: directive (directive form: no space after //).
+// an //exact: directive (directive form: no space after // or after
+// the colon).
 func exactDirective(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

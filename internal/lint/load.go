@@ -365,4 +365,3 @@ func (l *loader) check(path string, files []*ast.File) (*Package, error) {
 	pkg.Types = tpkg
 	return pkg, nil
 }
-

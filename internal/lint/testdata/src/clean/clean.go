@@ -148,7 +148,7 @@ func (q *CampaignQueue) depth() int {
 
 // tableAt2 mirrors the r²-indexed kernel lookups.
 //
-//unit: r2=Å2
+//unit:r2=Å2
 func tableAt2(r2 float64) float64 {
 	return r2
 }
@@ -156,7 +156,7 @@ func tableAt2(r2 float64) float64 {
 // LookupEnergy squares the distance before the r²-indexed lookup — the
 // unit-correct counterpart of the sick fixture's r/r² swap.
 //
-//unit: r=Å
+//unit:r=Å
 func LookupEnergy(r float64) float64 {
 	return tableAt2(r * r)
 }
@@ -164,7 +164,7 @@ func LookupEnergy(r float64) float64 {
 // soaLane reads one pose's coordinate component out of a batched SoA
 // lane.
 //
-//unit: result=Å
+//unit:result=Å
 func soaLane(lane []float64, k int) float64 {
 	return lane[k]
 }
@@ -197,7 +197,7 @@ func SortedKeys(m map[string]int) []string {
 // ScoreWindowExact keeps the bit-identity promise: float64 arithmetic
 // end to end, with float32 storage only widened before use.
 //
-//exact: bit-identical to the per-pose path
+//exact:bit-identical to the per-pose path
 func ScoreWindowExact(out []float64, lattice []float32) {
 	acc := 0.0
 	for _, v := range lattice {
@@ -221,7 +221,7 @@ func ScoreWindowFast(out []float32, terms []float64) {
 // sides of the test carry Å² — the disciplined counterpart of the sick
 // fixture's Å-vs-Å² admission swap.
 //
-//unit: bound=Å
+//unit:bound=Å
 func WindowGatherCount(xs, ys, zs, ax, ay, az []float64, bound float64) int {
 	n := 0
 	for k := range xs {

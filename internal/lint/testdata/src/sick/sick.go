@@ -155,7 +155,7 @@ func (q *CampaignQueue) bump() {
 // tableAt2 mirrors the r²-indexed kernel lookups: the parameter is a
 // squared distance.
 //
-//unit: r2=Å2
+//unit:r2=Å2
 func tableAt2(r2 float64) float64 {
 	return r2
 }
@@ -164,7 +164,7 @@ func tableAt2(r2 float64) float64 {
 // silent, physically-plausible wrong answer the unit lattice exists to
 // catch (dimcheck, error).
 //
-//unit: r=Å
+//unit:r=Å
 func LookupEnergy(r float64) float64 {
 	return tableAt2(r)
 }
@@ -172,7 +172,7 @@ func LookupEnergy(r float64) float64 {
 // soaLane reads one pose's coordinate component out of a batched SoA
 // lane.
 //
-//unit: result=Å
+//unit:result=Å
 func soaLane(lane []float64, k int) float64 {
 	return lane[k]
 }
@@ -198,7 +198,7 @@ func BatchIntraAccum(xs, ys, zs []float64, stride, i, j int, out []float64) {
 // accumulates in float32 — exactly the precision drift the directive
 // forbids (exactflow, error).
 //
-//exact: bit-identical to the per-pose path
+//exact:bit-identical to the per-pose path
 func ScoreWindowExact(out []float64, terms []float64) {
 	var acc float32
 	for _, t := range terms {
@@ -214,7 +214,7 @@ func ScoreWindowExact(out []float64, terms []float64) {
 // below 1 Å and quietly widens the shared gather above it
 // (dimcheck, warn).
 //
-//unit: bound=Å
+//unit:bound=Å
 func WindowGatherCount(xs, ys, zs, ax, ay, az []float64, bound float64) int {
 	n := 0
 	for k := range xs {
